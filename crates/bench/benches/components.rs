@@ -8,7 +8,7 @@ use lighttrader::accel::{DeviceProfile, DvfsTable, PowerCondition};
 use lighttrader::dnn::models::build_tiny;
 use lighttrader::dnn::{ModelKind, Tensor};
 use lighttrader::feed::{NormStats, SessionBuilder};
-use lighttrader::pipeline::{OffloadEngine, PacketParser};
+use lighttrader::pipeline::{MultiOffload, PacketParser};
 use lighttrader::prelude::*;
 use lighttrader::protocol::framing::Datagram;
 use lighttrader::protocol::sbe::{SbeDecoder, SbeEncoder};
@@ -75,13 +75,13 @@ fn bench_offload_engine(c: &mut Criterion) {
     c.bench_function("pipeline/offload_on_tick", |b| {
         b.iter_with_setup(
             || {
-                let mut o = OffloadEngine::new(session.norm.clone(), 100, 64);
+                let mut o = MultiOffload::new(vec![session.norm.clone()], 100, 64);
                 for t in session.trace.iter().take(99) {
-                    o.on_tick(&t.snapshot, t.ts);
+                    o.on_tick(0, &t.snapshot, t.ts);
                 }
                 o
             },
-            |mut o| o.on_tick(snapshot, Timestamp::from_millis(1)),
+            |mut o| o.on_tick(0, snapshot, Timestamp::from_millis(1)),
         )
     });
 }

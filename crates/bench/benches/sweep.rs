@@ -1,5 +1,5 @@
-//! Back-test farm benchmarks: grid expansion, cached vs rebuilt session
-//! handling, and the legacy flat sweep for reference.
+//! Back-test farm benchmarks: grid expansion and cached vs rebuilt
+//! session handling.
 //!
 //! For the machine-readable throughput report (and the 2x farm-vs-naive
 //! speedup floor on a 216-cell grid) see the `bench_sweep` binary,
@@ -9,7 +9,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lighttrader::dnn::ModelKind;
 use lighttrader::prelude::*;
 use lighttrader::sim::farm::GridDeadline;
-use lighttrader::sim::try_run_sweep;
 use std::hint::black_box;
 
 const SECS: f64 = 0.25;
@@ -43,29 +42,5 @@ fn bench_farm_naive(c: &mut Criterion) {
     });
 }
 
-fn bench_flat_sweep(c: &mut Criterion) {
-    // The legacy surface: one shared trace, a flat config batch.
-    let session = SessionBuilder::calm_traffic()
-        .duration_secs(SECS)
-        .seed(7)
-        .build();
-    let configs: Vec<BacktestConfig> = [Policy::Baseline, Policy::Both]
-        .into_iter()
-        .flat_map(|p| {
-            ModelKind::ALL
-                .map(|kind| BacktestConfig::new(kind, 2, PowerCondition::Sufficient).with_policy(p))
-        })
-        .collect();
-    c.bench_function("farm/flat_try_run_sweep_6_configs", |b| {
-        b.iter(|| black_box(try_run_sweep(&session.trace, &configs, 0).expect("clean sweep")))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_expand,
-    bench_farm_cached,
-    bench_farm_naive,
-    bench_flat_sweep
-);
+criterion_group!(benches, bench_expand, bench_farm_cached, bench_farm_naive);
 criterion_main!(benches);

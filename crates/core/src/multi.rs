@@ -1,14 +1,18 @@
-//! Functional cross-symbol batched inference.
+//! Functional batched inference: the one serving core.
 //!
-//! [`MultiSymbolTrader`] is the multi-instrument sibling of
-//! [`LightTrader`](crate::system::LightTrader): N symbol shards feed one
-//! shared [`MultiOffload`] queue, and each drain serves the coalesced
+//! [`MultiSymbolTrader`] serves N symbol shards from one shared
+//! [`MultiOffload`] queue, and each drain serves the coalesced
 //! cross-symbol batch with **one** batched forward pass through the
 //! registry's prepacked weight panels (`ModelRegistry::forward_batch`) —
 //! per layer, every queued symbol's window runs through a single packed
 //! GEMM instead of one forward per symbol. Per-sample outputs are
 //! bit-identical to serving each shard alone (pinned by the tests
 //! below), so batching is purely a throughput lever.
+//!
+//! The single-instrument [`LightTrader`](crate::system::LightTrader) is
+//! the one-shard case: it owns a one-shard trader and serves every warm
+//! tick through the same drain, so drain → stage → batched forward
+//! exists exactly once.
 
 use lt_dnn::{ModelKind, ModelRegistry, Prediction, Tensor};
 use lt_feed::NormStats;
@@ -18,8 +22,10 @@ use lt_pipeline::{MultiOffload, PipelineLatencies, ShardTicket};
 /// A functional multi-symbol pipeline serving cross-symbol batches.
 pub struct MultiSymbolTrader {
     offload: MultiOffload,
-    registry: ModelRegistry,
-    active: ModelKind,
+    /// Every registered tier's weights, packed panels, and scratch pads.
+    pub(crate) registry: ModelRegistry,
+    /// The tier currently serving queries.
+    pub(crate) active: ModelKind,
     stages: PipelineLatencies,
     /// Most tickets one drain coalesces into a single batched forward.
     batch_cap: usize,
@@ -43,18 +49,35 @@ impl MultiSymbolTrader {
     /// Panics when `norms` is empty or its normalization depth does not
     /// match the model's feature width.
     pub fn new(kind: ModelKind, norms: Vec<NormStats>, seed: u64) -> Self {
-        let registry = ModelRegistry::tiny_with_kinds(&[kind], seed);
-        let window = registry.max_window();
-        let offload = MultiOffload::new(norms, window, 64);
+        Self::serving(ModelRegistry::tiny_with_kinds(&[kind], seed), kind, norms)
+    }
+
+    /// Creates a trader serving tier `active` out of `registry`, with
+    /// feature windows sized for the widest registered tier (narrower
+    /// tiers slice the trailing rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `active` is not registered, `norms` is empty, or its
+    /// normalization depth does not match the model's feature width.
+    pub(crate) fn serving(
+        registry: ModelRegistry,
+        active: ModelKind,
+        norms: Vec<NormStats>,
+    ) -> Self {
+        let offload = MultiOffload::new(norms, registry.max_window(), 64);
         assert_eq!(
             offload.width(),
-            registry.model(kind).expect("just registered").features(),
+            registry
+                .model(active)
+                .expect("serving tier is registered")
+                .features(),
             "normalization depth must match the model's feature width"
         );
         MultiSymbolTrader {
             offload,
             registry,
-            active: kind,
+            active,
             stages: PipelineLatencies::fpga(),
             batch_cap: 16,
             tickets: Vec::new(),
@@ -166,7 +189,6 @@ impl MultiSymbolTrader {
 mod tests {
     use super::*;
     use lt_feed::MultiSessionBuilder;
-    use lt_pipeline::OffloadEngine;
 
     fn session(symbols: usize, seed: u64) -> lt_feed::MultiMarketSession {
         MultiSessionBuilder::normal_traffic()
@@ -177,8 +199,8 @@ mod tests {
     }
 
     /// The cross-symbol batch is bit-identical, ticket for ticket, to
-    /// running each shard through its own single-symbol engine and a
-    /// plain registry forward — batching never changes an answer.
+    /// running each shard through its own one-shard engine and a plain
+    /// registry forward — batching never changes an answer.
     #[test]
     fn cross_symbol_batch_matches_single_symbol_forwards() {
         let multi = session(3, 21);
@@ -186,10 +208,11 @@ mod tests {
         let mut trader = MultiSymbolTrader::new(ModelKind::VanillaCnn, norms.clone(), 5);
         let mut reference = ModelRegistry::tiny_with_kinds(&[ModelKind::VanillaCnn], 5);
         let window = trader.offload.window();
-        let mut singles: Vec<OffloadEngine> = norms
+        let mut singles: Vec<MultiOffload> = norms
             .into_iter()
-            .map(|n| OffloadEngine::new(n, window, 64))
+            .map(|n| MultiOffload::new(vec![n], window, 64))
             .collect();
+        let mut staged = Tensor::zeros(&[window, trader.offload.width()]);
 
         let rounds = multi.sessions.iter().map(|s| s.trace.len()).min().unwrap();
         let mut out = Vec::new();
@@ -198,14 +221,14 @@ mod tests {
             for (shard, session) in multi.sessions.iter().enumerate() {
                 let tick = &session.trace.ticks[round];
                 trader.on_tick(shard as u16, &tick.snapshot, tick.ts);
-                singles[shard].on_tick_staged(&tick.snapshot, tick.ts, &trader.stages.clone());
+                singles[shard].on_tick_staged(0, &tick.snapshot, tick.ts, &trader.stages);
             }
             let n = trader.drain_batch(&mut out);
             assert_eq!(n, trader.queue_len().max(n), "drain empties the queue");
             for (ticket, prediction) in &out {
                 let shard = ticket.shard as usize;
-                let expect =
-                    reference.forward(ModelKind::VanillaCnn, &singles[shard].latest_tensor());
+                singles[shard].write_shard_window_into(0, staged.data_mut());
+                let expect = reference.forward(ModelKind::VanillaCnn, &staged);
                 assert_eq!(
                     prediction.probs.map(f32::to_bits),
                     expect.probs.map(f32::to_bits),

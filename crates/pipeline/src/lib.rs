@@ -13,13 +13,14 @@
 //!   health plus recovered/lost accounting survive the session;
 //! * [`local_book`] — the depth-limited local LOB mirror the HFT system
 //!   maintains from tick data;
-//! * [`offload`] — the offload engine of Fig. 5: Z-score normalization
-//!   against historical statistics, BF16 conversion, the feature-vector
-//!   FIFO that assembles `[window, 40]` input tensors, and stale-tensor
-//!   management;
-//! * [`multi_offload`] — the cross-symbol generalization: per-symbol
-//!   feature shards feeding one coalesced tensor queue, so a single
-//!   accelerator batch mixes rows from many instruments;
+//! * [`offload`] — the per-instrument half of the offload engine of
+//!   Fig. 5: Z-score normalization against historical statistics, BF16
+//!   conversion, and the feature-vector FIFO that assembles
+//!   `[window, 40]` input tensors;
+//! * [`multi_offload`] — the offload engine itself: per-symbol feature
+//!   shards feeding one coalesced tensor queue with stale-tensor
+//!   management, so a single accelerator batch mixes rows from many
+//!   instruments (one shard serves a single instrument);
 //! * [`dma`] — the DMA descriptor ring that carries input tensors to the
 //!   accelerators and results back;
 //! * [`trading`] — the trading engine: risk-checked order generation from
@@ -46,7 +47,7 @@ pub use arbiter::{ArbiterStats, FeedArbiter, FeedHealth, FeedId};
 pub use dma::{Descriptor, DescriptorRing};
 pub use local_book::LocalBook;
 pub use multi_offload::{MultiOffload, ShardCounters, ShardTicket};
-pub use offload::{FeatureWindow, OffloadEngine, TensorTicket};
+pub use offload::{FeatureWindow, TensorTicket};
 pub use parser::{PacketParser, ParserStats};
 pub use portfolio::Portfolio;
 pub use rate_limit::{KillReason, KillSwitch, OrderRateLimiter};

@@ -1,20 +1,21 @@
-//! The cross-symbol offload engine: per-symbol feature shards feeding
-//! one coalesced tensor queue.
+//! The offload engine: per-symbol feature shards feeding one coalesced
+//! tensor queue.
 //!
-//! The paper's offload engine (Fig. 5) serves a single instrument. To
-//! serve N symbols with one accelerator fleet, each symbol keeps its own
-//! sliding [`FeatureWindow`] (its book history is independent), but every
-//! warm tick enqueues into a *shared* FIFO of [`ShardTicket`]s. The
-//! scheduler batches straight off that shared queue, so a single
-//! accelerator batch coalesces feature rows from many symbols and the
-//! per-batch fixed costs (DMA descriptor setup, kernel launch) amortize
-//! across the whole fleet's traffic instead of fragmenting per symbol.
-//! Tickets carry their shard index, so completions fan back out to the
-//! right symbol's trading engine.
+//! The paper's offload engine (Fig. 5) serves a single instrument; here
+//! that is simply the one-shard case. To serve N symbols with one
+//! accelerator fleet, each symbol keeps its own sliding
+//! [`FeatureWindow`] (its book history is independent), but every warm
+//! tick enqueues into a *shared* FIFO of [`ShardTicket`]s. The scheduler
+//! batches straight off that shared queue, so a single accelerator batch
+//! coalesces feature rows from many symbols and the per-batch fixed
+//! costs (DMA descriptor setup, kernel launch) amortize across the whole
+//! fleet's traffic instead of fragmenting per symbol. Tickets carry
+//! their shard index, so completions fan back out to the right symbol's
+//! trading engine.
 //!
 //! All steady-state storage (every shard's ring, the shared queue) is
 //! allocated up front; the ingest → pop path is allocation-free after
-//! warm-up exactly like the single-symbol engine (`tests/zero_alloc.rs`).
+//! warm-up (`tests/zero_alloc.rs`).
 
 use crate::offload::{FeatureWindow, TensorTicket};
 use crate::stages::{IngressStamp, PipelineLatencies};
@@ -72,9 +73,8 @@ pub struct MultiOffload {
 impl MultiOffload {
     /// Creates an engine with one shard per entry of `norms`, each with
     /// the same `window`, sharing a queue of `capacity_per_shard` slots
-    /// per shard. With a single shard this is behaviourally identical to
-    /// [`crate::OffloadEngine`] — same warm-up, admission, and FIFO
-    /// semantics.
+    /// per shard. A single shard is the paper's single-instrument
+    /// offload engine.
     ///
     /// # Panics
     ///
@@ -179,9 +179,10 @@ impl MultiOffload {
         self.shards[shard].features.write_into(out);
     }
 
-    /// Ingests one tick for `shard`, deriving `ready_at` from the
-    /// pipeline's ingress budget (the staged twin of
-    /// [`crate::OffloadEngine::on_tick_staged`]).
+    /// Ingests one tick for `shard`, deriving `ready_at` from the tick's
+    /// arrival time `now` plus the pipeline's ingress budget and stamping
+    /// the per-stage breakdown onto the ticket, so downstream consumers
+    /// can attribute tick-to-trade latency stage by stage.
     ///
     /// # Panics
     ///
@@ -197,7 +198,8 @@ impl MultiOffload {
         self.ingest(shard, snapshot, now + stamp.total(), stamp)
     }
 
-    /// Ingests one tick for `shard` with a pre-computed `ready_at`.
+    /// Ingests one tick for `shard` with a pre-computed `ready_at` (the
+    /// ticket carries an all-zero ingress stamp).
     ///
     /// # Panics
     ///
@@ -332,7 +334,6 @@ impl MultiOffload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OffloadEngine;
     use lt_lob::snapshot::SnapshotLevel;
     use lt_lob::{Price, Qty};
     use std::time::Duration;
@@ -374,6 +375,7 @@ mod tests {
             .unwrap();
         assert_eq!(t.shard, 0);
         assert_eq!(t.ticket.tick_id, 1);
+        assert!(e.shard_is_warm(0) && !e.shard_is_warm(1));
         assert!(e
             .on_tick(1, &snap(4, 200), Timestamp::from_micros(4))
             .is_some());
@@ -383,7 +385,7 @@ mod tests {
     #[test]
     fn queue_is_fifo_across_shards() {
         let mut e = engine(3, 1, 8);
-        for (i, shard) in [(1u64, 2u16), (2, 0), (3, 1), (4, 2)] {
+        for (i, shard) in [(1u64, 2u16), (2, 0), (3, 1), (4, 2), (5, 0)] {
             e.on_tick(shard, &snap(i, 100), Timestamp::from_micros(i));
         }
         let mut out = Vec::new();
@@ -391,6 +393,13 @@ mod tests {
         let shards: Vec<u16> = out.iter().map(|t| t.shard).collect();
         assert_eq!(shards, vec![2, 0, 1], "arrival order, not shard order");
         assert_eq!(e.oldest().unwrap().shard, 2);
+        assert_eq!(e.pop_ticket().unwrap().shard, 2);
+        // Popping into a buffer that was not cleared appends after its
+        // contents and picks up where the queue left off.
+        e.pop_batch_into(3, &mut out);
+        assert_eq!(out.len(), 4);
+        assert_eq!(out[3].ticket.tick_ts, Timestamp::from_micros(5));
+        assert!(e.pop_ticket().is_none());
     }
 
     #[test]
@@ -466,32 +475,66 @@ mod tests {
         assert_eq!(e.queue_len(), 0);
     }
 
-    /// A single shard must behave exactly like the single-symbol engine:
-    /// same warm-up, admission, FIFO, and stale semantics on the same
-    /// tick stream.
     #[test]
-    fn single_shard_matches_offload_engine() {
-        let stages = PipelineLatencies::fpga();
-        let mut single = OffloadEngine::new(NormStats::identity(1), 3, 4);
-        let mut multi = engine(1, 3, 4);
-        for i in 0..12u64 {
-            let s = snap(i * 50, 100 + i as i64);
-            let now = Timestamp::from_micros(i * 50);
-            let a = single.on_tick_staged(&s, now, &stages);
-            let b = multi.on_tick_staged(0, &s, now, &stages);
-            assert_eq!(a, b.map(|t| t.ticket));
-            if i == 6 {
-                let popped = single.pop_ticket();
-                assert_eq!(popped, multi.pop_ticket().map(|t| t.ticket));
-            }
+    fn features_are_bf16_rounded() {
+        let mut e = engine(1, 1, 4);
+        e.on_tick(0, &snap(1, 12_345), Timestamp::from_micros(1));
+        let mut window = vec![0.0; e.window() * e.width()];
+        e.write_shard_window_into(0, &mut window);
+        for &v in &window {
+            assert_eq!(lt_dnn::bf16::bf16_round(v), v);
         }
-        let deadline = Duration::from_micros(200);
-        let now = Timestamp::from_micros(520);
-        let stale = single.drop_stale(now, deadline);
-        assert_eq!(stale.len() as u64, multi.drop_stale(now, deadline));
-        assert_eq!(single.queue_len(), multi.queue_len());
-        assert_eq!(single.dropped_full(), multi.dropped_full());
-        assert_eq!(single.dropped_stale(), multi.dropped_stale());
+    }
+
+    #[test]
+    fn staged_ingest_stamps_ingress_and_derives_ready_at() {
+        let stages = PipelineLatencies::fpga();
+        let mut e = engine(1, 1, 10);
+        let now = Timestamp::from_micros(7);
+        let t = e.on_tick_staged(0, &snap(7, 100), now, &stages).unwrap();
+        assert_eq!(t.ticket.ingress, stages.ingress_stamp());
+        assert_eq!(t.ticket.ready_at, now + stages.ingress());
+        assert_eq!(
+            t.ticket.ready_at.since(t.ticket.tick_ts),
+            t.ticket.ingress.total()
+        );
+    }
+
+    #[test]
+    fn unstaged_ingest_carries_zero_stamp() {
+        let mut e = engine(1, 1, 10);
+        let ready_at = Timestamp::from_micros(9);
+        let t = e.on_tick(0, &snap(1, 100), ready_at).unwrap();
+        assert_eq!(t.ticket.ingress, IngressStamp::ZERO);
+        assert_eq!(t.ticket.ready_at, ready_at);
+    }
+
+    #[test]
+    fn shard_window_is_chronological_and_recent() {
+        let mut e = engine(1, 3, 10);
+        for i in 0..5u64 {
+            e.on_tick(0, &snap(i, 100 + i as i64), Timestamp::from_micros(i));
+        }
+        assert_eq!((e.window(), e.width()), (3, 4));
+        let mut window = vec![0.0; 3 * 4];
+        e.write_shard_window_into(0, &mut window);
+        // The first row is the oldest in-window tick (mid 102 -> ask
+        // 103), the last row the newest (mid 104 -> ask 105).
+        assert_eq!(window[0], 103.0);
+        assert_eq!(window[2 * 4], 105.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not warm")]
+    fn shard_window_before_warm_panics() {
+        let e = engine(1, 3, 10);
+        e.write_shard_window_into(0, &mut [0.0; 3 * 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_rejected() {
+        let _ = engine(1, 3, 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The offload engine (Fig. 5).
+//! The building blocks of the offload engine (Fig. 5).
 //!
 //! For every tick the offload engine (1) converts the LOB levels to BF16,
 //! (2) Z-score-normalizes them against historical statistics, (3) pushes
@@ -8,13 +8,16 @@
 //! whose prediction horizon has lapsed are dropped before wasting
 //! accelerator time, and Algorithm 1 may explicitly defer the oldest
 //! tensor when no schedule fits.
+//!
+//! Steps (1)–(3) live here as the per-instrument [`FeatureWindow`];
+//! step (4) and the stale management are the queue of
+//! [`MultiOffload`](crate::multi_offload::MultiOffload), which serves a
+//! single instrument as its one-shard case.
 
-use crate::stages::{IngressStamp, PipelineLatencies};
+use crate::stages::IngressStamp;
 use lt_dnn::bf16::bf16_round;
-use lt_dnn::Tensor;
 use lt_feed::NormStats;
 use lt_lob::{LobSnapshot, Timestamp};
-use std::collections::VecDeque;
 
 /// A queued inference request: one tick whose input tensor is ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,16 +30,16 @@ pub struct TensorTicket {
     pub ready_at: Timestamp,
     /// Per-stage ingress latency that produced `ready_at` (all-zero for
     /// callers that supply a pre-computed `ready_at` via
-    /// [`OffloadEngine::on_tick`]).
+    /// [`MultiOffload::on_tick`](crate::multi_offload::MultiOffload::on_tick)).
     pub ingress: IngressStamp,
 }
 
 /// The sliding feature window of one instrument shard: one flat,
 /// pre-allocated ring of `window × 4·depth` floats. Each tick's features
 /// are written, normalized, and BF16-rounded *in place* in the next row
-/// slot, so steady-state ingestion never allocates. Both the
-/// single-symbol [`OffloadEngine`] and the cross-symbol
-/// [`MultiOffload`](crate::multi_offload::MultiOffload) build on it.
+/// slot, so steady-state ingestion never allocates.
+/// [`MultiOffload`](crate::multi_offload::MultiOffload) keeps one per
+/// symbol shard.
 #[derive(Debug, Clone)]
 pub struct FeatureWindow {
     norm: NormStats,
@@ -104,8 +107,7 @@ impl FeatureWindow {
 
     /// Writes the window into `out` as `window × 4·depth` floats, rows
     /// in chronological order — the allocation-free staging primitive
-    /// behind [`Self::tensor`]; batched consumers use it to fill
-    /// recycled lane buffers.
+    /// consumers use to fill recycled lane buffers.
     ///
     /// # Panics
     ///
@@ -121,402 +123,5 @@ impl FeatureWindow {
             let r = (self.next_row + k) % self.window;
             out[k * width..(k + 1) * width].copy_from_slice(&self.ring[r * width..(r + 1) * width]);
         }
-    }
-
-    /// Materializes the window as a `[window, 4*depth]` tensor, rows in
-    /// chronological order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is not warm yet.
-    pub fn tensor(&self) -> Tensor {
-        let width = self.width();
-        let mut data = vec![0.0; self.window * width];
-        self.write_into(&mut data);
-        Tensor::from_vec(data, &[self.window, width])
-    }
-}
-
-/// The offload engine: normalization, windowing, and the tensor queue.
-///
-/// The sliding feature window is a [`FeatureWindow`] ring recycled in
-/// place, so steady-state ingestion never allocates. The ticket queue is
-/// likewise pre-sized to its capacity. Together with the ladder-backed
-/// [`LocalBook`](crate::local_book::LocalBook) this makes the whole
-/// book→features→ticket tick path allocation-free after warm-up (proven
-/// in `tests/zero_alloc.rs`).
-#[derive(Debug, Clone)]
-pub struct OffloadEngine {
-    features: FeatureWindow,
-    /// Tensors awaiting an accelerator.
-    queue: VecDeque<TensorTicket>,
-    /// Queue capacity; ticks arriving beyond it are dropped immediately.
-    capacity: usize,
-    next_tick_id: u64,
-    dropped_full: u64,
-    dropped_stale: u64,
-    deferred: u64,
-}
-
-impl OffloadEngine {
-    /// Creates an engine with the paper's geometry: the feature FIFO
-    /// spans `window` ticks of `depth`-level snapshots. All steady-state
-    /// storage (the feature ring and the ticket queue) is allocated here,
-    /// up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window`, `capacity`, or the stats' depth is unusable.
-    pub fn new(norm: NormStats, window: usize, capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        OffloadEngine {
-            features: FeatureWindow::new(norm, window),
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            next_tick_id: 0,
-            dropped_full: 0,
-            dropped_stale: 0,
-            deferred: 0,
-        }
-    }
-
-    /// Tensors currently queued for the DNN pipeline.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The oldest queued ticket, if any.
-    pub fn oldest(&self) -> Option<TensorTicket> {
-        self.queue.front().copied()
-    }
-
-    /// Ticks dropped because the queue was full.
-    pub fn dropped_full(&self) -> u64 {
-        self.dropped_full
-    }
-
-    /// Tensors dropped because their deadline lapsed while queued.
-    pub fn dropped_stale(&self) -> u64 {
-        self.dropped_stale
-    }
-
-    /// Tensors deferred to the conventional pipeline by Algorithm 1.
-    pub fn deferred(&self) -> u64 {
-        self.deferred
-    }
-
-    /// Ingests one tick: normalizes its features into the FIFO and, once
-    /// the window is warm, enqueues an inference request.
-    ///
-    /// Returns the ticket if one was enqueued (`None` while warming up or
-    /// when the queue is full).
-    pub fn on_tick(&mut self, snapshot: &LobSnapshot, ready_at: Timestamp) -> Option<TensorTicket> {
-        self.ingest(snapshot, ready_at, IngressStamp::ZERO)
-    }
-
-    /// Like [`Self::on_tick`], but derives `ready_at` from the tick's
-    /// arrival time plus the pipeline's ingress budget and stamps the
-    /// per-stage breakdown onto the ticket, so downstream consumers can
-    /// attribute tick-to-trade latency stage by stage.
-    pub fn on_tick_staged(
-        &mut self,
-        snapshot: &LobSnapshot,
-        now: Timestamp,
-        stages: &PipelineLatencies,
-    ) -> Option<TensorTicket> {
-        let stamp = stages.ingress_stamp();
-        self.ingest(snapshot, now + stamp.total(), stamp)
-    }
-
-    fn ingest(
-        &mut self,
-        snapshot: &LobSnapshot,
-        ready_at: Timestamp,
-        ingress: IngressStamp,
-    ) -> Option<TensorTicket> {
-        let warm = self.features.push(snapshot);
-        let tick_id = self.next_tick_id;
-        self.next_tick_id += 1;
-        if !warm {
-            return None;
-        }
-        if self.queue.len() >= self.capacity {
-            self.dropped_full += 1;
-            return None;
-        }
-        let ticket = TensorTicket {
-            tick_id,
-            tick_ts: snapshot.ts,
-            ready_at,
-            ingress,
-        };
-        self.queue.push_back(ticket);
-        Some(ticket)
-    }
-
-    /// True once the feature ring holds a full window.
-    pub fn is_warm(&self) -> bool {
-        self.features.is_warm()
-    }
-
-    /// Pops the oldest queued ticket, if any — the allocation-free
-    /// single-ticket variant of [`Self::pop_batch`].
-    pub fn pop_ticket(&mut self) -> Option<TensorTicket> {
-        self.queue.pop_front()
-    }
-
-    /// Pops up to `batch` tickets, oldest first, for DMA to an
-    /// accelerator.
-    ///
-    /// Allocates a fresh vector per call; hot paths should prefer
-    /// [`Self::pop_batch_into`] with a recycled buffer.
-    pub fn pop_batch(&mut self, batch: usize) -> Vec<TensorTicket> {
-        let mut out = Vec::new();
-        self.pop_batch_into(batch, &mut out);
-        out
-    }
-
-    /// Pops up to `batch` tickets, oldest first, appending them to `out`.
-    ///
-    /// With a recycled caller-owned buffer (cleared between batches and
-    /// grown to the maximum batch size once) this path performs zero
-    /// heap allocations in steady state (proven in
-    /// `tests/zero_alloc.rs`).
-    pub fn pop_batch_into(&mut self, batch: usize, out: &mut Vec<TensorTicket>) {
-        let n = batch.min(self.queue.len());
-        out.extend(self.queue.drain(..n));
-    }
-
-    /// Removes the oldest ticket (Algorithm 1's defer path).
-    pub fn defer_oldest(&mut self) -> Option<TensorTicket> {
-        let t = self.queue.pop_front();
-        if t.is_some() {
-            self.deferred += 1;
-        }
-        t
-    }
-
-    /// Drops every queued ticket whose `tick_ts + deadline` is already in
-    /// the past, returning them (the stale-management duty of Fig. 5).
-    pub fn drop_stale(
-        &mut self,
-        now: Timestamp,
-        deadline: std::time::Duration,
-    ) -> Vec<TensorTicket> {
-        let mut stale = Vec::new();
-        while let Some(front) = self.queue.front() {
-            if (front.tick_ts + deadline) <= now {
-                stale.push(self.queue.pop_front().expect("front just seen"));
-            } else {
-                break;
-            }
-        }
-        self.dropped_stale += stale.len() as u64;
-        stale
-    }
-
-    /// Materializes the current window as a `[window, 4*depth]` input
-    /// tensor (the examples and the functional path use this; the
-    /// discrete-event simulator works with tickets alone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FIFO is not warm yet.
-    pub fn latest_tensor(&self) -> Tensor {
-        self.features.tensor()
-    }
-
-    /// Writes the current window into `out` (`window × 4·depth` floats,
-    /// chronological) without allocating — the steady-state twin of
-    /// [`Self::latest_tensor`] for callers staging into a recycled
-    /// buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FIFO is not warm yet or `out` has the wrong length.
-    pub fn write_window_into(&self, out: &mut [f32]) {
-        self.features.write_into(out);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lt_lob::snapshot::SnapshotLevel;
-    use lt_lob::{Price, Qty};
-    use std::time::Duration;
-
-    fn snap(ts_us: u64, mid: i64) -> LobSnapshot {
-        LobSnapshot {
-            ts: Timestamp::from_micros(ts_us),
-            bids: vec![SnapshotLevel {
-                price: Price::new(mid - 1),
-                qty: Qty::new(5),
-            }],
-            asks: vec![SnapshotLevel {
-                price: Price::new(mid + 1),
-                qty: Qty::new(5),
-            }],
-        }
-    }
-
-    fn engine(window: usize, capacity: usize) -> OffloadEngine {
-        OffloadEngine::new(NormStats::identity(1), window, capacity)
-    }
-
-    #[test]
-    fn warms_up_before_enqueueing() {
-        let mut e = engine(3, 8);
-        assert!(e
-            .on_tick(&snap(1, 100), Timestamp::from_micros(1))
-            .is_none());
-        assert!(e
-            .on_tick(&snap(2, 100), Timestamp::from_micros(2))
-            .is_none());
-        assert!(!e.is_warm());
-        let t = e.on_tick(&snap(3, 100), Timestamp::from_micros(3)).unwrap();
-        assert!(e.is_warm());
-        assert_eq!(t.tick_id, 2);
-        assert_eq!(e.queue_len(), 1);
-    }
-
-    #[test]
-    fn queue_capacity_drops_excess() {
-        let mut e = engine(1, 2);
-        for i in 0..5u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
-        }
-        assert_eq!(e.queue_len(), 2);
-        assert_eq!(e.dropped_full(), 3);
-    }
-
-    #[test]
-    fn pop_batch_is_fifo() {
-        let mut e = engine(1, 10);
-        for i in 0..4u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
-        }
-        let batch = e.pop_batch(3);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].tick_id, 0);
-        assert_eq!(batch[2].tick_id, 2);
-        assert_eq!(e.queue_len(), 1);
-        // Requesting more than available returns what exists.
-        assert_eq!(e.pop_batch(10).len(), 1);
-    }
-
-    #[test]
-    fn pop_ticket_is_fifo_and_matches_pop_batch() {
-        let mut e = engine(1, 10);
-        for i in 0..3u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
-        }
-        assert_eq!(e.pop_ticket().unwrap().tick_id, 0);
-        assert_eq!(e.pop_ticket().unwrap().tick_id, 1);
-        assert_eq!(e.pop_batch(5).len(), 1);
-        assert!(e.pop_ticket().is_none());
-    }
-
-    #[test]
-    fn pop_batch_into_recycles_the_buffer() {
-        let mut e = engine(1, 10);
-        for i in 0..6u64 {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
-        }
-        let mut buf = Vec::with_capacity(4);
-        e.pop_batch_into(4, &mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(buf[0].tick_id, 0);
-        assert_eq!(buf[3].tick_id, 3);
-        // A recycled (cleared) buffer picks up where the queue left off.
-        buf.clear();
-        e.pop_batch_into(4, &mut buf);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf[0].tick_id, 4);
-        // Appending without clearing extends rather than overwrites.
-        e.on_tick(&snap(7, 100), Timestamp::from_micros(7));
-        e.pop_batch_into(1, &mut buf);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf[2].tick_id, 6);
-    }
-
-    #[test]
-    fn defer_oldest_counts() {
-        let mut e = engine(1, 10);
-        e.on_tick(&snap(1, 100), Timestamp::from_micros(1));
-        e.on_tick(&snap(2, 100), Timestamp::from_micros(2));
-        let d = e.defer_oldest().unwrap();
-        assert_eq!(d.tick_id, 0);
-        assert_eq!(e.deferred(), 1);
-        assert_eq!(e.queue_len(), 1);
-    }
-
-    #[test]
-    fn drop_stale_removes_expired_prefix() {
-        let mut e = engine(1, 10);
-        for i in [0u64, 10, 500, 900] {
-            e.on_tick(&snap(i, 100), Timestamp::from_micros(i));
-        }
-        // Deadline 1 ms, now = 1.2 ms: ticks at 0 µs and 10 µs expired.
-        let stale = e.drop_stale(Timestamp::from_micros(1_200), Duration::from_millis(1));
-        assert_eq!(stale.len(), 2);
-        assert_eq!(e.dropped_stale(), 2);
-        assert_eq!(e.queue_len(), 2);
-        assert_eq!(e.oldest().unwrap().tick_ts, Timestamp::from_micros(500));
-    }
-
-    #[test]
-    fn latest_tensor_shape_and_recency() {
-        let mut e = engine(3, 10);
-        for i in 0..5u64 {
-            e.on_tick(&snap(i, 100 + i as i64), Timestamp::from_micros(i));
-        }
-        let t = e.latest_tensor();
-        assert_eq!(t.shape(), &[3, 4]);
-        // The last row reflects the newest tick (mid 104 -> ask 105).
-        assert_eq!(t.at(&[2, 0]), 105.0);
-        // And the first row is the oldest in-window tick (mid 102).
-        assert_eq!(t.at(&[0, 0]), 103.0);
-    }
-
-    #[test]
-    fn features_are_bf16_rounded() {
-        let mut e = engine(1, 4);
-        e.on_tick(&snap(1, 12_345), Timestamp::from_micros(1));
-        let t = e.latest_tensor();
-        for &v in t.data() {
-            assert_eq!(bf16_round(v), v);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not warm")]
-    fn latest_tensor_before_warm_panics() {
-        let e = engine(3, 10);
-        let _ = e.latest_tensor();
-    }
-
-    #[test]
-    fn staged_ingest_stamps_ingress_and_derives_ready_at() {
-        let stages = crate::stages::PipelineLatencies::fpga();
-        let mut e = engine(1, 10);
-        let now = Timestamp::from_micros(7);
-        let t = e.on_tick_staged(&snap(7, 100), now, &stages).unwrap();
-        assert_eq!(t.ingress, stages.ingress_stamp());
-        assert_eq!(t.ready_at, now + stages.ingress());
-        assert_eq!(t.ready_at.since(t.tick_ts), t.ingress.total());
-    }
-
-    #[test]
-    fn legacy_ingest_carries_zero_stamp() {
-        let mut e = engine(1, 10);
-        let t = e.on_tick(&snap(1, 100), Timestamp::from_micros(9)).unwrap();
-        assert_eq!(t.ingress, IngressStamp::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_queue_is_rejected() {
-        let _ = engine(3, 0);
     }
 }

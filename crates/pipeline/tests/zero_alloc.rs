@@ -14,7 +14,7 @@ use std::cell::Cell;
 use lt_feed::NormStats;
 use lt_lob::prelude::*;
 use lt_pipeline::stages::PipelineLatencies;
-use lt_pipeline::{LocalBook, MultiOffload, OffloadEngine, ShardTicket, TensorTicket};
+use lt_pipeline::{LocalBook, MultiOffload, ShardTicket};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -106,13 +106,14 @@ fn generate_events(n_actions: u64) -> Vec<MarketEvent> {
     events
 }
 
-/// Replays the full stream through the book→snapshot→offload path,
-/// returning how many tickets were enqueued (a trivial checksum so the
-/// optimizer cannot elide the work).
+/// Replays the full stream through the book→snapshot→offload path of a
+/// single instrument (a one-shard [`MultiOffload`]), returning how many
+/// tickets were enqueued (a trivial checksum so the optimizer cannot
+/// elide the work).
 fn replay(
     events: &[MarketEvent],
     book: &mut LocalBook,
-    offload: &mut OffloadEngine,
+    offload: &mut MultiOffload,
     snap: &mut LobSnapshot,
     stages: &PipelineLatencies,
 ) -> u64 {
@@ -120,7 +121,7 @@ fn replay(
     for event in events {
         book.apply(event);
         book.snapshot_into(10, event.ts, snap);
-        if offload.on_tick_staged(snap, event.ts, stages).is_some() {
+        if offload.on_tick_staged(0, snap, event.ts, stages).is_some() {
             tickets += 1;
         }
         if offload.pop_ticket().is_some() {
@@ -139,7 +140,7 @@ fn tick_hot_path_is_allocation_free_after_warmup() {
     );
 
     let mut book = LocalBook::new();
-    let mut offload = OffloadEngine::new(NormStats::identity(10), 100, 64);
+    let mut offload = MultiOffload::new(vec![NormStats::identity(10)], 100, 64);
     let mut snap = LobSnapshot::default();
     let stages = PipelineLatencies::fpga();
 
@@ -177,16 +178,16 @@ fn tick_hot_path_is_allocation_free_after_warmup() {
 fn replay_batched(
     events: &[MarketEvent],
     book: &mut LocalBook,
-    offload: &mut OffloadEngine,
+    offload: &mut MultiOffload,
     snap: &mut LobSnapshot,
     stages: &PipelineLatencies,
-    batch_buf: &mut Vec<TensorTicket>,
+    batch_buf: &mut Vec<ShardTicket>,
 ) -> u64 {
     let mut tickets = 0u64;
     for (i, event) in events.iter().enumerate() {
         book.apply(event);
         book.snapshot_into(10, event.ts, snap);
-        offload.on_tick_staged(snap, event.ts, stages);
+        offload.on_tick_staged(0, snap, event.ts, stages);
         if i % 4 == 3 {
             batch_buf.clear();
             offload.pop_batch_into(4, batch_buf);
@@ -200,10 +201,10 @@ fn replay_batched(
 fn batched_pop_path_is_allocation_free_after_warmup() {
     let events = generate_events(2_000);
     let mut book = LocalBook::new();
-    let mut offload = OffloadEngine::new(NormStats::identity(10), 100, 64);
+    let mut offload = MultiOffload::new(vec![NormStats::identity(10)], 100, 64);
     let mut snap = LobSnapshot::default();
     let stages = PipelineLatencies::fpga();
-    let mut batch_buf: Vec<TensorTicket> = Vec::new();
+    let mut batch_buf: Vec<ShardTicket> = Vec::new();
     book.reserve_orders(2_000);
 
     let warm_a = replay_batched(

@@ -18,7 +18,7 @@ use lt_dnn::ModelKind;
 use lt_feed::NormStats;
 use lt_feed::{TickRecord, TickTrace};
 use lt_lob::Timestamp;
-use lt_pipeline::{OffloadEngine, PipelineLatencies};
+use lt_pipeline::{MultiOffload, PipelineLatencies};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -100,7 +100,8 @@ struct SingleDeviceModel<'a> {
     egress: Duration,
     stale_budget: Duration,
     t_avail: Duration,
-    offload: OffloadEngine,
+    /// A one-shard offload engine: the baseline serves one instrument.
+    offload: MultiOffload,
     /// The device is free from this time onward.
     device_free: Timestamp,
 }
@@ -116,7 +117,7 @@ impl SingleDeviceModel<'_> {
             // Work through queued tensors while the device can start.
             let start = self
                 .device_free
-                .max(self.offload.oldest().map_or(now, |t| t.ready_at));
+                .max(self.offload.oldest().map_or(now, |t| t.ticket.ready_at));
             if start > now {
                 if self.device_free <= now {
                     // Idle device waiting on tensor readiness: wake up
@@ -127,9 +128,8 @@ impl SingleDeviceModel<'_> {
                 break;
             }
             // Stale management at issue time.
-            let stale = self.offload.drop_stale(start, self.stale_budget);
-            ctx.metrics.dropped_stale += stale.len() as u64;
-            let Some(ticket) = self.offload.pop_ticket() else {
+            ctx.metrics.dropped_stale += self.offload.drop_stale(start, self.stale_budget);
+            let Some(ticket) = self.offload.pop_ticket().map(|t| t.ticket) else {
                 break;
             };
             let issue = start.max(ticket.ready_at);
@@ -175,7 +175,7 @@ impl SimModel for SingleDeviceModel<'_> {
     fn on_tick(&mut self, tick: &TickRecord, ctx: &mut EngineCtx) {
         let before_full = self.offload.dropped_full();
         self.offload
-            .on_tick_staged(&tick.snapshot, tick.ts, &self.system.stages);
+            .on_tick_staged(0, &tick.snapshot, tick.ts, &self.system.stages);
         ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
         self.try_issue(ctx);
     }
@@ -225,7 +225,7 @@ pub fn run_single_device(
         egress,
         stale_budget: t_avail.saturating_sub(egress + service),
         t_avail,
-        offload: OffloadEngine::new(NormStats::identity(10), window, queue_capacity),
+        offload: MultiOffload::new(vec![NormStats::identity(10)], window, queue_capacity),
         device_free: Timestamp::ZERO,
     };
     engine::run(&mut model, trace)

@@ -21,6 +21,10 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== benchmark harness: perfbench builds and passes against this tree =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== engine refactor gates: golden parity + determinism =="
 cargo test -q --release -p lt-sim --test golden_parity --test determinism
 

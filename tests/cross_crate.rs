@@ -7,7 +7,7 @@ use lighttrader::accel::{static_plan, DeviceProfile, DvfsTable};
 use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lighttrader::dnn::ops::Linear;
 use lighttrader::dnn::Tensor;
-use lighttrader::pipeline::{LocalBook, OffloadEngine, PacketParser};
+use lighttrader::pipeline::{LocalBook, MultiOffload, PacketParser};
 use lighttrader::prelude::*;
 use lighttrader::protocol::framing::Datagram;
 use lighttrader::protocol::sbe::SbeEncoder;
@@ -68,17 +68,17 @@ fn offload_feeds_models() {
         ),
     ] {
         assert_eq!(model.window(), window);
-        let mut offload = OffloadEngine::new(session.norm.clone(), window, 32);
+        let mut offload = MultiOffload::new(vec![session.norm.clone()], window, 32);
+        let mut tensor = Tensor::zeros(&[window, offload.width()]);
+        assert_eq!(tensor.shape(), &[window, 40]);
         let mut predictions = 0;
         for tick in session.trace.iter().take(200) {
-            offload.on_tick(&tick.snapshot, tick.ts);
-            if offload.is_warm() {
-                let tensor = offload.latest_tensor();
-                assert_eq!(tensor.shape(), &[window, 40]);
+            if offload.on_tick(0, &tick.snapshot, tick.ts).is_some() {
+                offload.write_shard_window_into(0, tensor.data_mut());
                 let p = model.forward(&tensor);
                 assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-3);
                 predictions += 1;
-                offload.pop_batch(usize::MAX);
+                offload.pop_ticket();
             }
         }
         assert_eq!(predictions, 200 - (window - 1));
