@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lighttrader::accel::cgra::{CgraSim, GridConfig};
 use lighttrader::accel::{DeviceProfile, DvfsTable, PowerCondition};
 use lighttrader::dnn::models::build_tiny;
-use lighttrader::dnn::{ModelKind, Tensor};
+use lighttrader::dnn::{ModelKind, ScratchPad, Tensor};
 use lighttrader::feed::{NormStats, SessionBuilder};
 use lighttrader::pipeline::{MultiOffload, PacketParser};
 use lighttrader::prelude::*;
@@ -90,11 +90,18 @@ fn bench_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("dnn/tiny_forward");
     for kind in ModelKind::ALL {
         let model = build_tiny(kind, 1);
+        let packed = model.pack_weights();
         let input = Tensor::random(&[model.window(), model.features()], 1.0, 2);
+        let (mut pad, mut out) = (ScratchPad::new(), Vec::with_capacity(1));
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &input,
-            |b, input| b.iter(|| model.forward(input)),
+            |b, input| {
+                b.iter(|| {
+                    let batch = std::slice::from_ref(input);
+                    model.forward_batch_scratch(batch, &packed, &mut pad, &mut out)
+                })
+            },
         );
     }
     group.finish();

@@ -1,51 +1,29 @@
 //! Kernel-regression benchmark: times every naive `forward_reference`
-//! against its fast `forward_scratch` counterpart and emits a
-//! machine-readable `BENCH_kernels.json` in the current directory.
+//! against its packed counterpart — each op's `forward_batch_packed`
+//! and each model's `forward_batch_scratch`, all at batch 1 — and emits
+//! a machine-readable `BENCH_kernels.json` in the current directory.
 //!
 //! ```text
 //! cargo run --release -p lt-bench --bin bench_kernels
 //! ```
 //!
-//! Exits nonzero if the DeepLOB full-forward speedup falls below the
-//! 5x regression floor, so CI catches fast-path regressions.
-
-use std::time::Instant;
+//! Each side is the median of interleaved timed repeats
+//! ([`median_pair_ns`]). Exits nonzero if the DeepLOB full-forward
+//! speedup falls below the 5x regression floor, so CI catches
+//! fast-path regressions.
 
 use lighttrader::dnn::kernels::{
     gemm_bt_bias_rows_bf16, gemm_packed_bt_bias_rows_bf16, pack_bt_panels,
 };
-use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
-use lighttrader::dnn::ops::{Conv2d, Linear, LinearInt8, Lstm, MultiHeadAttention};
-use lighttrader::dnn::{Model, ScratchPad, Tensor};
+use lighttrader::dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
+use lighttrader::dnn::ops::{Conv2d, Linear, Lstm, MultiHeadAttention};
+use lighttrader::dnn::{Model, Prediction, ScratchPad, Tensor};
+use lt_bench::{median_pair_ns, REPEATS};
+use std::hint::black_box;
 
-/// Minimum acceptable DeepLOB full-forward speedup (fast vs naive).
+/// Minimum acceptable DeepLOB full-forward speedup (batch-1 packed vs
+/// naive reference).
 const DEEPLOB_SPEEDUP_FLOOR: f64 = 5.0;
-/// Target wall time per measurement, nanoseconds.
-const TARGET_NS: u128 = 100_000_000;
-
-/// Times `f` adaptively: calibrates an iteration count that fills
-/// roughly [`TARGET_NS`], runs three repetitions, and returns the best
-/// (least-noisy) per-iteration nanoseconds.
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    // Warm-up + calibration.
-    let start = Instant::now();
-    let mut calib = 0u32;
-    while start.elapsed().as_nanos() < TARGET_NS / 10 {
-        f();
-        calib += 1;
-    }
-    let iters = calib.max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(per_iter);
-    }
-    best
-}
 
 struct Row {
     name: &'static str,
@@ -69,9 +47,8 @@ impl Row {
     }
 }
 
-fn measure(name: &'static str, mut naive: impl FnMut(), mut fast: impl FnMut()) -> Row {
-    let naive_ns = time_ns(&mut naive);
-    let fast_ns = time_ns(&mut fast);
+fn measure(name: &'static str, naive: impl FnMut(), fast: impl FnMut()) -> Row {
+    let (naive_ns, fast_ns) = median_pair_ns(naive, fast);
     let row = Row {
         name,
         naive_ns,
@@ -87,75 +64,87 @@ fn measure(name: &'static str, mut naive: impl FnMut(), mut fast: impl FnMut()) 
     row
 }
 
+/// A model row: the naive reference against one batch-1 packed forward
+/// on a held pack and pad (the steady state `ModelRegistry` serves).
+fn measure_model(
+    name: &'static str,
+    model: &dyn Model,
+    reference: impl Fn(&Tensor) -> Prediction,
+    x: &Tensor,
+) -> Row {
+    let packed = model.pack_weights();
+    let mut pad = ScratchPad::new();
+    let mut out = Vec::with_capacity(1);
+    measure(
+        name,
+        || {
+            black_box(reference(x));
+        },
+        || model.forward_batch_scratch(std::slice::from_ref(x), &packed, &mut pad, &mut out),
+    )
+}
+
 fn main() {
     let mut kernels = Vec::new();
 
     let conv = Conv2d::new(16, 16, (4, 1), (1, 1), (0, 0), 1);
+    let conv_packed = conv.pack();
     let xc = Tensor::random(&[16, 64, 10], 1.0, 2);
+    let mut out_c = vec![0.0f32; conv.forward_reference(&xc).len()];
     let mut pad = ScratchPad::new();
     kernels.push(measure(
         "conv2d",
         || {
-            let _ = conv.forward_reference(&xc);
+            black_box(conv.forward_reference(&xc));
         },
-        || {
-            let out = conv.forward_scratch(&xc, &mut pad);
-            pad.give_tensor(out);
-        },
+        || conv.forward_batch_packed(xc.data(), 1, 64, 10, &conv_packed, 1, &mut pad, &mut out_c),
     ));
 
     let linear = Linear::new(256, 128, 1);
+    let linear_packed = linear.pack();
     let xl = Tensor::random(&[256], 1.0, 2);
-    let mut pad = ScratchPad::new();
+    let mut out_l = vec![0.0f32; 128];
     kernels.push(measure(
         "linear",
         || {
-            let _ = linear.forward_reference(&xl);
+            black_box(linear.forward_reference(&xl));
         },
-        || {
-            let out = linear.forward_scratch(&xl, &mut pad);
-            pad.give_tensor(out);
-        },
-    ));
-
-    let linear_q = LinearInt8::from_linear(&linear);
-    let mut pad = ScratchPad::new();
-    kernels.push(measure(
-        "linear_int8",
-        || {
-            let _ = linear_q.forward_reference(&xl);
-        },
-        || {
-            let out = linear_q.forward_scratch(&xl, &mut pad);
-            pad.give_tensor(out);
-        },
+        || linear.forward_batch_packed(xl.data(), 1, &linear_packed, &mut out_l),
     ));
 
     let lstm = Lstm::new(48, 64, 1);
+    let (wx, wh) = (lstm.pack_wx(), lstm.pack_wh());
     let xs = Tensor::random(&[16, 48], 1.0, 2);
+    let mut out_s = vec![0.0f32; 64];
     let mut pad = ScratchPad::new();
     kernels.push(measure(
         "lstm",
         || {
-            let _ = lstm.forward_reference(&xs);
+            black_box(lstm.forward_reference(&xs));
         },
-        || {
-            let out = lstm.forward_scratch(&xs, &mut pad);
-            pad.give_tensor(out);
-        },
+        || lstm.last_hidden_batch_packed(xs.data(), 1, 16, &wx, &wh, &mut pad, &mut out_s),
     ));
 
     let mha = MultiHeadAttention::new(64, 4, 1);
+    let mha_packed = mha.pack();
     let xa = Tensor::random(&[32, 64], 1.0, 2);
+    let mut out_a = vec![0.0f32; xa.len()];
     let mut pad = ScratchPad::new();
     kernels.push(measure(
         "attention",
         || {
-            let _ = mha.forward_reference(&xa);
+            black_box(mha.forward_reference(&xa));
         },
         || {
-            let out = mha.forward_scratch(&xa, &mut pad);
-            pad.give_tensor(out);
+            mha.forward_batch_packed(
+                xa.data(),
+                1,
+                32,
+                mha_packed.each_ref(),
+                1,
+                &mut pad,
+                &mut out_a,
+            )
         },
     ));
 
@@ -183,55 +172,27 @@ fn main() {
         ));
     }
 
-    let mut models = Vec::new();
     let vanilla = CnnSpec::tiny().build(3);
-    let quant = QuantizedCnn::from_float(&vanilla);
     let deeplob = DeepLobSpec::tiny().build(3);
     let translob = TransLobSpec::tiny().build(3);
     let x20 = Tensor::random(&[20, 40], 1.0, 5);
     let x24 = Tensor::random(&[24, 40], 1.0, 5);
     let x16 = Tensor::random(&[16, 40], 1.0, 5);
-
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "vanilla_cnn",
-        || {
-            let _ = vanilla.forward_reference(&x20);
-        },
-        || {
-            let _ = vanilla.forward_scratch(&x20, &mut pad);
-        },
-    ));
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "quantized_cnn",
-        || {
-            let _ = quant.forward_reference(&x20);
-        },
-        || {
-            let _ = quant.forward_scratch(&x20, &mut pad);
-        },
-    ));
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "deeplob",
-        || {
-            let _ = deeplob.forward_reference(&x24);
-        },
-        || {
-            let _ = deeplob.forward_scratch(&x24, &mut pad);
-        },
-    ));
-    let mut pad = ScratchPad::new();
-    models.push(measure(
-        "translob",
-        || {
-            let _ = translob.forward_reference(&x16);
-        },
-        || {
-            let _ = translob.forward_scratch(&x16, &mut pad);
-        },
-    ));
+    let models = [
+        measure_model(
+            "vanilla_cnn",
+            &vanilla,
+            |x| vanilla.forward_reference(x),
+            &x20,
+        ),
+        measure_model("deeplob", &deeplob, |x| deeplob.forward_reference(x), &x24),
+        measure_model(
+            "translob",
+            &translob,
+            |x| translob.forward_reference(x),
+            &x16,
+        ),
+    ];
 
     let deeplob_speedup = models
         .iter()
@@ -241,8 +202,11 @@ fn main() {
 
     let kernel_rows: Vec<String> = kernels.iter().map(Row::json).collect();
     let model_rows: Vec<String> = models.iter().map(Row::json).collect();
-    let json = format!
-        ("{{\n  \"kernels\": [\n{}\n  ],\n  \"models\": [\n{}\n  ],\n  \"deeplob_speedup\": {:.2},\n  \"deeplob_speedup_floor\": {:.1}\n}}\n",
+    let json = format!(
+        "{{\n  \"method\": \"per side: median of {} interleaved timed repeats\",\n  \
+         \"kernels\": [\n{}\n  ],\n  \"models\": [\n{}\n  ],\n  \
+         \"deeplob_speedup\": {:.2},\n  \"deeplob_speedup_floor\": {:.1}\n}}\n",
+        REPEATS,
         kernel_rows.join(",\n"),
         model_rows.join(",\n"),
         deeplob_speedup,

@@ -1,6 +1,7 @@
 //! Rendering helpers shared by the `tables` binary and the Criterion
 //! benches: each function formats one paper artifact (table or figure)
-//! as paper-vs-measured text.
+//! as paper-vs-measured text. Also the interleaved-median timer the
+//! kernel and batch regression binaries gate on ([`median_pair_ns`]).
 
 use lighttrader::accel::PowerCondition;
 use lighttrader::dnn::ModelKind;
@@ -10,6 +11,7 @@ use lighttrader::sched::Policy;
 use lighttrader::sim::farm::{FarmRunner, GridDeadline, SweepGrid};
 use lighttrader::sim::traffic::{scheduling_deadline_for, shared_trace_cache};
 use lighttrader::sim::{run_lighttrader, BacktestConfig, FaultRates, IngressFaults};
+use std::time::Instant;
 
 /// Renders Table I (accelerator specification).
 pub fn render_table1() -> String {
@@ -368,6 +370,55 @@ pub fn render_grid(secs: f64, seed: u64) -> (String, String) {
         t.render()
     );
     (table, results.to_grid_json())
+}
+
+/// Interleaved timed repeats per side in [`median_pair_ns`].
+pub const REPEATS: usize = 7;
+/// Target wall time of one timed repeat, nanoseconds.
+const REPEAT_NS: u128 = 50_000_000;
+
+/// Times two workloads against each other, returning each one's
+/// per-iteration nanoseconds `(a, b)`.
+///
+/// Each side is first calibrated to an iteration count that fills
+/// about [`REPEAT_NS`]; then the sides run as [`REPEATS`] interleaved
+/// repeats (a, b, a, b, ...) so machine-state drift hits both equally.
+/// Each side's figure is the median of its repeats, never a lucky
+/// best-of sample.
+pub fn median_pair_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (iters_a, iters_b) = (calibrate(&mut a), calibrate(&mut b));
+    let mut times_a = Vec::with_capacity(REPEATS);
+    let mut times_b = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        times_a.push(per_iter_ns(&mut a, iters_a));
+        times_b.push(per_iter_ns(&mut b, iters_b));
+    }
+    (median(times_a), median(times_b))
+}
+
+/// Iterations of `f` that fill about [`REPEAT_NS`] (the calibration
+/// pass also warms caches and scratch pools).
+fn calibrate(f: &mut impl FnMut()) -> u32 {
+    let start = Instant::now();
+    let mut n = 0u32;
+    while start.elapsed().as_nanos() < REPEAT_NS / 5 {
+        f();
+        n += 1;
+    }
+    n.max(1) * 5
+}
+
+fn per_iter_ns(f: &mut impl FnMut(), iters: u32) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / f64::from(iters)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs[xs.len() / 2]
 }
 
 #[cfg(test)]

@@ -77,30 +77,16 @@ pub fn bf16_round_slice(xs: &mut [f32]) {
 /// Returns the quantized bytes and the scale such that
 /// `value ≈ q as f32 * scale`.
 pub fn quantize_int8(xs: &[f32]) -> (Vec<i8>, f32) {
-    let mut q = vec![0i8; xs.len()];
-    let scale = quantize_int8_into(xs, &mut q);
-    (q, scale)
-}
-
-/// [`quantize_int8`] into a caller-provided buffer (no allocation).
-///
-/// Returns the scale.
-///
-/// # Panics
-///
-/// Panics if `out.len() != xs.len()`.
-pub fn quantize_int8_into(xs: &[f32], out: &mut [i8]) -> f32 {
-    assert_eq!(out.len(), xs.len(), "int8 output buffer length");
     let max_abs = xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     if max_abs == 0.0 {
-        out.fill(0);
-        return 1.0;
+        return (vec![0; xs.len()], 1.0);
     }
     let scale = max_abs / 127.0;
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = (x / scale).round().clamp(-127.0, 127.0) as i8;
-    }
-    scale
+    let q = xs
+        .iter()
+        .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
+        .collect();
+    (q, scale)
 }
 
 /// Reverses [`quantize_int8`].

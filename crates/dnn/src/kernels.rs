@@ -3,8 +3,9 @@
 //! The naive layer implementations in [`crate::ops`] index every element
 //! through `Tensor::at` (rank assert + bounds checks + index arithmetic
 //! per multiply). These kernels compute the same contractions over raw
-//! slices with register tiling and cache blocking, which is where the
-//! fast `forward_scratch` paths get their speed.
+//! slices with prepacked register-tile panels and cache blocking, which
+//! is where the packed batched forwards (`forward_batch_packed` on each
+//! op, `Model::forward_batch_scratch` on each model) get their speed.
 //!
 //! # The bit-exactness contract
 //!
@@ -106,13 +107,15 @@ pub fn im2col(
 }
 
 /// `out[m][n] = bf16(bias[m] + dot(a[m], b[n]))` — GEMM against a
-/// transposed B, bias indexed by the A row.
+/// transposed B, bias indexed by the A row, reading a row-major A.
 ///
 /// `a` is `[m, k]` row-major (convolution kernels), `b` is `[n, k]`
 /// row-major (im2col patches), `out` is `[m, n]` row-major — exactly the
 /// `[out_c, oh * ow]` layout of a convolution output. Blocked over `n`
 /// and register-tiled over `m`; each output's accumulation order matches
-/// the naive triple loop.
+/// the naive triple loop. No forward path calls it: it is the unpacked
+/// oracle the [`gemm_packed_bt_bias_rows_bf16`] tests and the kernel
+/// benchmark compare against.
 pub fn gemm_bt_bias_rows_bf16(
     a: &[f32],
     b: &[f32],
@@ -167,175 +170,6 @@ pub fn gemm_bt_bias_rows_bf16(
             }
         }
         j0 = j1;
-    }
-}
-
-/// `out[o] = bf16(bias[o] + dot(w[o], x))` — dense layer on one input row.
-///
-/// `w` is `[n, k]` row-major. Register-tiled over output neurons so four
-/// accumulator chains share each `x` load; per-output accumulation order
-/// matches the naive loop.
-pub fn matvec_bias_bf16(w: &[f32], bias: &[f32], x: &[f32], n: usize, k: usize, out: &mut [f32]) {
-    assert_eq!(w.len(), n * k, "matvec weight length");
-    assert_eq!(bias.len(), n, "matvec bias length");
-    assert_eq!(x.len(), k, "matvec input length");
-    assert_eq!(out.len(), n, "matvec output length");
-    let mut o = 0;
-    while o + MR <= n {
-        let w0 = &w[o * k..(o + 1) * k];
-        let w1 = &w[(o + 1) * k..(o + 2) * k];
-        let w2 = &w[(o + 2) * k..(o + 3) * k];
-        let w3 = &w[(o + 3) * k..(o + 4) * k];
-        let mut acc0 = bias[o];
-        let mut acc1 = bias[o + 1];
-        let mut acc2 = bias[o + 2];
-        let mut acc3 = bias[o + 3];
-        for t in 0..k {
-            let xv = x[t];
-            acc0 += w0[t] * xv;
-            acc1 += w1[t] * xv;
-            acc2 += w2[t] * xv;
-            acc3 += w3[t] * xv;
-        }
-        out[o] = bf16_round(acc0);
-        out[o + 1] = bf16_round(acc1);
-        out[o + 2] = bf16_round(acc2);
-        out[o + 3] = bf16_round(acc3);
-        o += MR;
-    }
-    for r in o..n {
-        let wr = &w[r * k..(r + 1) * k];
-        let mut acc = bias[r];
-        for t in 0..k {
-            acc += wr[t] * x[t];
-        }
-        out[r] = bf16_round(acc);
-    }
-}
-
-/// INT8 dense layer: `out[o] = (Σ w[o][i] * x[i]) as f32 * w_scale
-/// * x_scale + bias[o]`, with an `i32` accumulator.
-///
-/// The float epilogue multiplies the two scales in the same order as the
-/// naive loop (`acc * w_scale * x_scale + bias`), so results are
-/// bit-identical; the integer dot itself is exact in any order.
-#[allow(clippy::too_many_arguments)]
-pub fn matvec_i8_bias(
-    w: &[i8],
-    x: &[i8],
-    bias: &[f32],
-    n: usize,
-    k: usize,
-    w_scale: f32,
-    x_scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(w.len(), n * k, "int8 matvec weight length");
-    assert_eq!(x.len(), k, "int8 matvec input length");
-    assert_eq!(bias.len(), n, "int8 matvec bias length");
-    assert_eq!(out.len(), n, "int8 matvec output length");
-    let mut o = 0;
-    while o + MR <= n {
-        let w0 = &w[o * k..(o + 1) * k];
-        let w1 = &w[(o + 1) * k..(o + 2) * k];
-        let w2 = &w[(o + 2) * k..(o + 3) * k];
-        let w3 = &w[(o + 3) * k..(o + 4) * k];
-        let mut acc0: i32 = 0;
-        let mut acc1: i32 = 0;
-        let mut acc2: i32 = 0;
-        let mut acc3: i32 = 0;
-        for t in 0..k {
-            let xv = x[t] as i32;
-            acc0 += w0[t] as i32 * xv;
-            acc1 += w1[t] as i32 * xv;
-            acc2 += w2[t] as i32 * xv;
-            acc3 += w3[t] as i32 * xv;
-        }
-        out[o] = acc0 as f32 * w_scale * x_scale + bias[o];
-        out[o + 1] = acc1 as f32 * w_scale * x_scale + bias[o + 1];
-        out[o + 2] = acc2 as f32 * w_scale * x_scale + bias[o + 2];
-        out[o + 3] = acc3 as f32 * w_scale * x_scale + bias[o + 3];
-        o += MR;
-    }
-    for r in o..n {
-        let wr = &w[r * k..(r + 1) * k];
-        let mut acc: i32 = 0;
-        for t in 0..k {
-            acc += wr[t] as i32 * x[t] as i32;
-        }
-        out[r] = acc as f32 * w_scale * x_scale + bias[r];
-    }
-}
-
-/// Fused LSTM gate pre-activations for one timestep:
-/// `gates[g] = bias[g] + dot(wx[g], xt) + dot(wh[g], h)`.
-///
-/// `wx` is `[4 * hidden, input]`, `wh` is `[4 * hidden, hidden]`. The two
-/// dots run sequentially per gate (input weights first), matching the
-/// naive per-gate loop; no rounding is applied here.
-#[allow(clippy::too_many_arguments)]
-pub fn lstm_gates(
-    wx: &[f32],
-    wh: &[f32],
-    bias: &[f32],
-    xt: &[f32],
-    h: &[f32],
-    input: usize,
-    hidden: usize,
-    gates: &mut [f32],
-) {
-    let n = 4 * hidden;
-    assert_eq!(wx.len(), n * input, "lstm wx length");
-    assert_eq!(wh.len(), n * hidden, "lstm wh length");
-    assert_eq!(bias.len(), n, "lstm bias length");
-    assert_eq!(xt.len(), input, "lstm input length");
-    assert_eq!(h.len(), hidden, "lstm hidden length");
-    assert_eq!(gates.len(), n, "lstm gates length");
-    let mut g = 0;
-    while g + MR <= n {
-        let wx0 = &wx[g * input..(g + 1) * input];
-        let wx1 = &wx[(g + 1) * input..(g + 2) * input];
-        let wx2 = &wx[(g + 2) * input..(g + 3) * input];
-        let wx3 = &wx[(g + 3) * input..(g + 4) * input];
-        let mut acc0 = bias[g];
-        let mut acc1 = bias[g + 1];
-        let mut acc2 = bias[g + 2];
-        let mut acc3 = bias[g + 3];
-        for i in 0..input {
-            let xv = xt[i];
-            acc0 += wx0[i] * xv;
-            acc1 += wx1[i] * xv;
-            acc2 += wx2[i] * xv;
-            acc3 += wx3[i] * xv;
-        }
-        let wh0 = &wh[g * hidden..(g + 1) * hidden];
-        let wh1 = &wh[(g + 1) * hidden..(g + 2) * hidden];
-        let wh2 = &wh[(g + 2) * hidden..(g + 3) * hidden];
-        let wh3 = &wh[(g + 3) * hidden..(g + 4) * hidden];
-        for j in 0..hidden {
-            let hv = h[j];
-            acc0 += wh0[j] * hv;
-            acc1 += wh1[j] * hv;
-            acc2 += wh2[j] * hv;
-            acc3 += wh3[j] * hv;
-        }
-        gates[g] = acc0;
-        gates[g + 1] = acc1;
-        gates[g + 2] = acc2;
-        gates[g + 3] = acc3;
-        g += MR;
-    }
-    for r in g..n {
-        let mut acc = bias[r];
-        let wxr = &wx[r * input..(r + 1) * input];
-        for i in 0..input {
-            acc += wxr[i] * xt[i];
-        }
-        let whr = &wh[r * hidden..(r + 1) * hidden];
-        for j in 0..hidden {
-            acc += whr[j] * h[j];
-        }
-        gates[r] = acc;
     }
 }
 
@@ -541,8 +375,13 @@ pub fn gemm_packed_bt_bias_rows_bf16(
     }
 }
 
-/// [`matvec_bias_bf16`] reading a prepacked `[n, k]` weight operand
-/// (see [`pack_bt_panels`]); bit-identical output.
+/// `out[o] = bf16(bias[o] + dot(w[o], x))` — a dense layer on one input
+/// row, reading the `[n, k]` weight operand prepacked by
+/// [`pack_bt_panels`].
+///
+/// Each full panel feeds four accumulator chains from one contiguous
+/// 4-lane load per `k` step; per-output accumulation order matches the
+/// naive loop, so the output is bit-identical to it.
 pub fn matvec_packed_bias_bf16(
     packed: &[f32],
     bias: &[f32],
@@ -581,8 +420,9 @@ pub fn matvec_packed_bias_bf16(
     }
 }
 
-/// Batched [`lstm_gates`] over prepacked weights: one timestep's gate
-/// pre-activations for every sequence in a batch.
+/// Fused LSTM gate pre-activations over prepacked weights: one
+/// timestep's `gates[g] = bias[g] + dot(wx[g], x_t) + dot(wh[g], h)`
+/// for every sequence in a batch, with no rounding.
 ///
 /// `packed_wx` / `packed_wh` are `[4 * hidden, input]` / `[4 * hidden,
 /// hidden]` operands packed by [`pack_bt_panels`]. Sample `s` reads its
@@ -590,7 +430,8 @@ pub fn matvec_packed_bias_bf16(
 /// view into a sample-major `[batch, steps, input]` sequence buffer)
 /// and its hidden state at `h[s * hidden..]`; its gates land at
 /// `gates[s * 4 * hidden..]`. Per (sample, gate) the accumulation is
-/// bias, then the `wx` dot, then the `wh` dot — exactly [`lstm_gates`].
+/// bias, then the `wx` dot, then the `wh` dot — exactly the naive
+/// per-gate loop.
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_gates_packed_batch(
     packed_wx: &[f32],
@@ -868,38 +709,39 @@ mod tests {
         }
     }
 
+    /// Scalar model of one timestep's fused LSTM gates for one sequence.
+    fn scalar_gates(wx: &[f32], wh: &[f32], bias: &[f32], xt: &[f32], h: &[f32]) -> Vec<f32> {
+        let (input, hidden) = (xt.len(), h.len());
+        (0..bias.len())
+            .map(|g| {
+                let mut acc = bias[g];
+                for i in 0..input {
+                    acc += wx[g * input + i] * xt[i];
+                }
+                for j in 0..hidden {
+                    acc += wh[g * hidden + j] * h[j];
+                }
+                acc
+            })
+            .collect()
+    }
+
     #[test]
     fn matvec_matches_scalar_loop() {
         let (n, k) = (7usize, 13usize); // odd n exercises the remainder path
         let w: Vec<f32> = (0..n * k).map(|i| (i as f32).sin()).collect();
         let x: Vec<f32> = (0..k).map(|i| (i as f32).cos()).collect();
         let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
+        let mut packed = Vec::new();
+        pack_bt_panels(&w, n, k, &mut packed);
         let mut out = vec![0.0; n];
-        matvec_bias_bf16(&w, &bias, &x, n, k, &mut out);
+        matvec_packed_bias_bf16(&packed, &bias, &x, n, k, &mut out);
         for o in 0..n {
             let mut acc = bias[o];
             for t in 0..k {
                 acc += w[o * k + t] * x[t];
             }
             assert_eq!(out[o], bf16_round(acc), "neuron {o}");
-        }
-    }
-
-    #[test]
-    fn int8_matvec_matches_scalar_loop() {
-        let (n, k) = (5usize, 9usize);
-        let w: Vec<i8> = (0..n * k).map(|i| ((i * 37) % 255) as i8).collect();
-        let x: Vec<i8> = (0..k).map(|i| ((i * 91) % 255) as i8).collect();
-        let bias: Vec<f32> = (0..n).map(|i| i as f32 - 2.0).collect();
-        let (ws, xs) = (0.03f32, 0.07f32);
-        let mut out = vec![0.0; n];
-        matvec_i8_bias(&w, &x, &bias, n, k, ws, xs, &mut out);
-        for o in 0..n {
-            let mut acc: i32 = 0;
-            for t in 0..k {
-                acc += w[o * k + t] as i32 * x[t] as i32;
-            }
-            assert_eq!(out[o], acc as f32 * ws * xs + bias[o], "neuron {o}");
         }
     }
 
@@ -912,18 +754,14 @@ mod tests {
         let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.05).collect();
         let xt: Vec<f32> = (0..input).map(|i| i as f32 * 0.2 - 0.4).collect();
         let h: Vec<f32> = (0..hidden).map(|i| 0.1 * i as f32).collect();
+        let (mut pwx, mut pwh) = (Vec::new(), Vec::new());
+        pack_bt_panels(&wx, n, input, &mut pwx);
+        pack_bt_panels(&wh, n, hidden, &mut pwh);
         let mut gates = vec![0.0; n];
-        lstm_gates(&wx, &wh, &bias, &xt, &h, input, hidden, &mut gates);
-        for g in 0..n {
-            let mut acc = bias[g];
-            for i in 0..input {
-                acc += wx[g * input + i] * xt[i];
-            }
-            for j in 0..hidden {
-                acc += wh[g * hidden + j] * h[j];
-            }
-            assert_eq!(gates[g], acc, "gate {g}");
-        }
+        lstm_gates_packed_batch(
+            &pwx, &pwh, &bias, &xt, 0, input, &h, 1, input, hidden, &mut gates,
+        );
+        assert_eq!(gates, scalar_gates(&wx, &wh, &bias, &xt, &h));
     }
 
     #[test]
@@ -955,8 +793,10 @@ mod tests {
             let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.05).collect();
             let mut packed = Vec::new();
             pack_bt_panels(&w, n, k, &mut packed);
+            // The unpacked oracle: a one-column GEMM against the
+            // row-major weights.
             let mut want = vec![0.0; n];
-            matvec_bias_bf16(&w, &bias, &x, n, k, &mut want);
+            gemm_bt_bias_rows_bf16(&w, &x, &bias, n, 1, k, &mut want);
             let mut got = vec![0.0; n];
             matvec_packed_bias_bf16(&packed, &bias, &x, n, k, &mut got);
             assert_eq!(got, want, "n={n}");
@@ -965,6 +805,8 @@ mod tests {
 
     #[test]
     fn packed_lstm_gates_match_serial_kernel() {
+        // Every sample of a batched sweep equals the serial per-sequence
+        // gate loop.
         let (input, hidden, batch) = (5usize, 3usize, 4usize); // 4*hidden = 12
         let n = 4 * hidden;
         let wx: Vec<f32> = (0..n * input).map(|i| (i as f32 * 0.7).sin()).collect();
@@ -994,17 +836,8 @@ mod tests {
             &mut gates,
         );
         for s in 0..batch {
-            let mut want = vec![0.0; n];
-            lstm_gates(
-                &wx,
-                &wh,
-                &bias,
-                &x[s * steps * input + input..s * steps * input + 2 * input],
-                &h[s * hidden..(s + 1) * hidden],
-                input,
-                hidden,
-                &mut want,
-            );
+            let xt = &x[s * steps * input + input..s * steps * input + 2 * input];
+            let want = scalar_gates(&wx, &wh, &bias, xt, &h[s * hidden..(s + 1) * hidden]);
             assert_eq!(&gates[s * n..(s + 1) * n], &want[..], "sample {s}");
         }
     }

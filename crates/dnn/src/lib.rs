@@ -12,20 +12,21 @@
 //!
 //! * [`bf16`] — Brain-float-16 rounding, the accelerator's "main
 //!   computational precision" (§III-C), plus symmetric INT8 quantization
-//!   for the low-latency path;
+//!   for the reference-only quantized model;
 //! * [`tensor`] — a dense row-major `f32` tensor with the shape algebra
 //!   the layers need;
 //! * [`ops`] — linear, conv2d, LSTM, multi-head attention, layer norm,
-//!   pooling, and activations, each with an analytic MAC counter used by
-//!   the latency model;
-//! * [`kernels`] — the im2col + blocked-GEMM fast paths behind the ops'
-//!   `forward_scratch` methods, bit-identical to the naive references;
+//!   pooling, and activations, each with a naive `forward_reference`
+//!   oracle, a packed `forward_batch_packed` path, and an analytic MAC
+//!   counter used by the latency model;
+//! * [`kernels`] — the im2col + prepacked-panel GEMM kernels behind the
+//!   packed paths, bit-identical to the naive references;
 //! * [`scratch`] — the [`ScratchPad`] buffer pool that makes steady-state
 //!   inference allocation-free;
 //! * [`batch`] — prepacked weight panels ([`PackedWeights`]) and the
-//!   scoped sample scatter behind the batched
-//!   [`Model::forward_batch_scratch`] path, bit-identical per sample to
-//!   looped `forward_scratch`;
+//!   scoped sample scatter behind [`Model::forward_batch_scratch`], each
+//!   model's one fast forward (a single query is a batch of one),
+//!   bit-identical per sample to the model's `forward_reference`;
 //! * [`models`] — [`VanillaCnn`],
 //!   [`TransLob`], and [`DeepLob`],
 //!   each in two sizes: a `paper()` configuration whose analytic op count

@@ -8,13 +8,18 @@
 //! with symmetric per-tensor INT8 weights; the accelerator runs it at 4x
 //! throughput (64 TOPS vs 16 TFLOPS) at the cost of small prediction
 //! deviations that this module's tests quantify.
+//!
+//! It is a reference-only model for that accuracy study (the Table II
+//! deployment runs BF16): it is never registered for serving, does not
+//! implement [`crate::Model`], and has only the naive
+//! [`QuantizedCnn::forward_reference`]. The INT8 *timing* lives in the
+//! accelerator's latency model, not here.
 
 use crate::bf16::{dequantize_int8, quantize_int8};
-use crate::model::{Model, ModelKind, Prediction};
+use crate::model::Prediction;
 use crate::models::vanilla_cnn::{CnnSpec, VanillaCnn};
 use crate::ops::activation::{relu, softmax_last_dim};
 use crate::ops::{Conv2d, LinearInt8};
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 
 /// An INT8-quantized Vanilla CNN.
@@ -52,9 +57,8 @@ impl QuantizedCnn {
         self.spec
     }
 
-    /// The naive reference forward pass, built entirely from the layers'
-    /// `forward_reference` paths (kept for equivalence tests and the
-    /// benchmark baseline). Bit-identical to [`Model::forward`].
+    /// The forward pass, built entirely from the layers' naive
+    /// `forward_reference` paths.
     pub fn forward_reference(&self, input: &Tensor) -> Prediction {
         assert_eq!(
             input.shape(),
@@ -81,55 +85,6 @@ impl QuantizedCnn {
     }
 }
 
-impl Model for QuantizedCnn {
-    fn kind(&self) -> ModelKind {
-        ModelKind::VanillaCnn
-    }
-
-    fn window(&self) -> usize {
-        self.spec.window
-    }
-
-    fn features(&self) -> usize {
-        self.spec.features
-    }
-
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction {
-        assert_eq!(
-            input.shape(),
-            [self.spec.window, self.spec.features],
-            "input must be [window, features]"
-        );
-        let mut x0 = pad.take_tensor(&[1, self.spec.window, self.spec.features]);
-        x0.data_mut().copy_from_slice(input.data());
-        let mut x = self.conv1.forward_scratch(&x0, pad);
-        pad.give_tensor(x0);
-        relu(&mut x);
-        let mut y = self.conv2.forward_scratch(&x, pad);
-        pad.give_tensor(x);
-        relu(&mut y);
-        let mut z = self.conv3.forward_scratch(&y, pad);
-        pad.give_tensor(y);
-        relu(&mut z);
-        let flat_len = z.len();
-        let flat = z.reshape(&[flat_len]);
-        let mut h = self.fc1.forward_scratch(&flat, pad);
-        pad.give_tensor(flat);
-        relu(&mut h);
-        let mut logits = self.fc2.forward_scratch(&h, pad);
-        pad.give_tensor(h);
-        softmax_last_dim(&mut logits);
-        let d = logits.data();
-        let p = Prediction::new([d[0], d[1], d[2]]);
-        pad.give_tensor(logits);
-        p
-    }
-
-    fn total_macs(&self) -> u64 {
-        self.spec.macs()
-    }
-}
-
 /// Quantization error statistics between a float model and its INT8
 /// counterpart, over a batch of inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -142,7 +97,8 @@ pub struct QuantizationReport {
     pub mean_abs_prob_error: f64,
 }
 
-/// Compares a float model against its quantized twin over `inputs`.
+/// Compares a float model against its quantized twin over `inputs`,
+/// both run through their `forward_reference` paths.
 pub fn quantization_report(
     float: &VanillaCnn,
     quant: &QuantizedCnn,
@@ -154,8 +110,8 @@ pub fn quantization_report(
     let mut agree = 0usize;
     let mut abs_err = 0.0f64;
     for input in inputs {
-        let a = float.forward(input);
-        let b = quant.forward(input);
+        let a = float.forward_reference(input);
+        let b = quant.forward_reference(input);
         if a.direction() == b.direction() {
             agree += 1;
         }
@@ -185,44 +141,50 @@ pub fn weight_round_trip_error(values: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
 
-    fn pair() -> (VanillaCnn, QuantizedCnn) {
-        let float = CnnSpec::tiny().build(11);
+    fn pair_for(seed: u64) -> (VanillaCnn, QuantizedCnn) {
+        let float = CnnSpec::tiny().build(seed);
         let quant = QuantizedCnn::from_float(&float);
         (float, quant)
     }
 
-    #[test]
-    fn quantized_model_runs_and_sums_to_one() {
-        let (_, quant) = pair();
-        let x = Tensor::random(&[20, 40], 1.0, 1);
-        let p = quant.forward(&x);
-        assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-        assert_eq!(quant.kind(), ModelKind::VanillaCnn);
-        assert_eq!(quant.window(), 20);
+    fn pair() -> (VanillaCnn, QuantizedCnn) {
+        pair_for(11)
     }
 
     #[test]
-    fn quantization_preserves_most_decisions() {
+    fn quantized_model_runs_and_sums_to_one() {
         let (float, quant) = pair();
+        let x = Tensor::random(&[20, 40], 1.0, 1);
+        let p = quant.forward_reference(&x);
+        assert!((p.probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+        assert_eq!(quant.spec(), float.spec());
+        assert_eq!(quant.spec().window, 20);
+    }
+
+    /// Across a family of model seeds, INT8 keeps most decisions and
+    /// moves probabilities only slightly — yet is genuinely lossy.
+    #[test]
+    fn quantization_preserves_most_decisions() {
         let inputs: Vec<Tensor> = (0..40)
             .map(|i| Tensor::random(&[20, 40], 1.0, 100 + i))
             .collect();
-        let report = quantization_report(&float, &quant, &inputs);
-        assert_eq!(report.samples, 40);
-        assert!(
-            report.direction_agreement >= 0.85,
-            "agreement {:.2}",
-            report.direction_agreement
-        );
-        assert!(
-            report.mean_abs_prob_error < 0.05,
-            "prob error {:.4}",
-            report.mean_abs_prob_error
-        );
-        // But it is genuinely lossy.
-        assert!(report.mean_abs_prob_error > 0.0);
+        for seed in 0..32 {
+            let (float, quant) = pair_for(seed);
+            let report = quantization_report(&float, &quant, &inputs);
+            assert_eq!(report.samples, 40);
+            assert!(
+                report.direction_agreement >= 0.85,
+                "seed {seed}: agreement {:.2}",
+                report.direction_agreement
+            );
+            assert!(
+                report.mean_abs_prob_error < 0.05,
+                "seed {seed}: prob error {:.4}",
+                report.mean_abs_prob_error
+            );
+            assert!(report.mean_abs_prob_error > 0.0, "seed {seed}: lossless");
+        }
     }
 
     #[test]

@@ -38,6 +38,14 @@ const CONV_K: usize = 3;
 const CONV_LAYERS: usize = 5;
 /// Feed-forward expansion factor.
 const FFN_MULT: usize = 4;
+/// Pack index of the token projection (after the convolutions).
+const PROJ_PANEL: usize = CONV_LAYERS;
+/// Pack index of the classification head.
+const HEAD_PANEL: usize = CONV_LAYERS + 1;
+/// Pack index of the first transformer block's panels.
+const BLOCK_PANEL_BASE: usize = CONV_LAYERS + 2;
+/// Panels per transformer block: attention Q/K/V/O, then `ffn1`, `ffn2`.
+const BLOCK_PANELS: usize = 6;
 
 impl TransLobSpec {
     /// The paper-scale spec: [`Self::ops`] reproduces Table II's 203.9 G
@@ -157,30 +165,56 @@ impl TransformerBlock {
         x1
     }
 
-    /// The fast path: takes `x` by value and accumulates both residuals
-    /// into it, drawing every intermediate from `pad`. Bit-identical to
-    /// [`Self::forward_reference`].
-    fn forward_scratch(&self, mut x: Tensor, pad: &mut ScratchPad) -> Tensor {
+    /// Pushes this block's panels: attention Q/K/V/O, `ffn1`, `ffn2`.
+    fn pack(&self, pw: &mut PackedWeights) {
+        for panels in self.attn.pack() {
+            pw.push(panels);
+        }
+        pw.push(self.ffn1.pack());
+        pw.push(self.ffn2.pack());
+    }
+
+    /// The packed path over a flat `[batch, t, d_model]` token buffer,
+    /// accumulating both residuals into `x` in place. Every projection
+    /// runs as one sweep over all `batch * t` token rows; panels
+    /// `base..base + BLOCK_PANELS` are this block's. Per sample
+    /// bit-identical to [`Self::forward_reference`].
+    fn forward_batch(
+        &self,
+        x: &mut [f32],
+        batch: usize,
+        t: usize,
+        packed: &PackedWeights,
+        base: usize,
+        pad: &mut ScratchPad,
+    ) {
+        let rows = batch * t;
+        let d = self.ln1.dim();
+        // Fully overwritten before every read, so skip the zero fill.
+        let mut normed = pad.take_dirty(rows * d);
+        let mut sub = pad.take_dirty(rows * d);
         // x = x + attn(ln1(x))
-        let n1 = self.ln1.forward_scratch(&x, pad);
-        let a = self.attn.forward_scratch(&n1, pad);
-        pad.give_tensor(n1);
-        for (v, add) in x.data_mut().iter_mut().zip(a.data()) {
+        self.ln1.forward_rows(x, rows, &mut normed);
+        let attn = [0, 1, 2, 3].map(|i| packed.panel(base + i));
+        self.attn
+            .forward_batch_packed(&normed, batch, t, attn, packed.threads(), pad, &mut sub);
+        for (v, add) in x.iter_mut().zip(&sub) {
             *v += add;
         }
-        pad.give_tensor(a);
         // x = x + ffn(ln2(x))
-        let n2 = self.ln2.forward_scratch(&x, pad);
-        let mut h = self.ffn1.forward_scratch(&n2, pad);
-        pad.give_tensor(n2);
-        relu(&mut h);
-        let f = self.ffn2.forward_scratch(&h, pad);
-        pad.give_tensor(h);
-        for (v, add) in x.data_mut().iter_mut().zip(f.data()) {
+        self.ln2.forward_rows(x, rows, &mut normed);
+        let mut hidden = pad.take_dirty(rows * self.ffn1.output_dim());
+        self.ffn1
+            .forward_batch_packed(&normed, rows, packed.panel(base + 4), &mut hidden);
+        relu_slice(&mut hidden);
+        self.ffn2
+            .forward_batch_packed(&hidden, rows, packed.panel(base + 5), &mut sub);
+        for (v, add) in x.iter_mut().zip(&sub) {
             *v += add;
         }
-        pad.give_tensor(f);
-        x
+        pad.give(hidden);
+        pad.give(sub);
+        pad.give(normed);
     }
 }
 
@@ -215,8 +249,9 @@ impl TransLob {
     }
 
     /// The naive reference forward pass, built entirely from the layers'
-    /// `forward_reference` paths (kept for equivalence tests and the
-    /// benchmark baseline). Bit-identical to [`Model::forward`].
+    /// `forward_reference` paths: the oracle that
+    /// [`Model::forward_batch_scratch`] matches bit for bit per sample,
+    /// and the benchmark baseline.
     pub fn forward_reference(&self, input: &Tensor) -> Prediction {
         let (t, f) = (self.spec.window, self.spec.features);
         assert_eq!(input.shape(), [t, f], "input must be [window, features]");
@@ -274,77 +309,18 @@ impl Model for TransLob {
         self.spec.features
     }
 
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction {
-        let (t, f) = (self.spec.window, self.spec.features);
-        assert_eq!(input.shape(), [t, f], "input must be [window, features]");
-        // To channels-first [F, T, 1] for the convolution stack: the input
-        // is [T, F] row-major, so feature `fi` at tick `ti` reads from flat
-        // index `ti * f + fi` and lands at `fi * t + ti`.
-        let mut x = pad.take_tensor(&[f, t, 1]);
-        {
-            let (xd, id) = (x.data_mut(), input.data());
-            for ti in 0..t {
-                for fi in 0..f {
-                    xd[fi * t + ti] = id[ti * f + fi];
-                }
-            }
-        }
-        for conv in &self.convs {
-            let mut y = conv.forward_scratch(&x, pad);
-            relu(&mut y);
-            pad.give_tensor(x);
-            x = y;
-        }
-        // Back to sequence-major [T, C].
-        let c = self.spec.conv_channels;
-        let mut seq = pad.take_tensor(&[t, c]);
-        {
-            let (sd, xd) = (seq.data_mut(), x.data());
-            for ti in 0..t {
-                for ci in 0..c {
-                    sd[ti * c + ci] = xd[ci * t + ti];
-                }
-            }
-        }
-        pad.give_tensor(x);
-        let mut tokens = self.proj.forward_scratch(&seq, pad);
-        pad.give_tensor(seq);
-        for (v, p) in tokens.data_mut().iter_mut().zip(self.pos.data()) {
-            *v += p;
-        }
-        for block in &self.blocks {
-            tokens = block.forward_scratch(tokens, pad);
-        }
-        // Mean pool over time (take_tensor zero-fills, matching the
-        // reference path's `vec![0.0; d]` accumulator).
-        let d = self.spec.d_model;
-        let mut pooled = pad.take_tensor(&[d]);
-        for ti in 0..t {
-            for (acc, v) in pooled.data_mut().iter_mut().zip(tokens.row(ti)) {
-                *acc += v / t as f32;
-            }
-        }
-        pad.give_tensor(tokens);
-        let mut logits = self.head.forward_scratch(&pooled, pad);
-        pad.give_tensor(pooled);
-        softmax_last_dim(&mut logits);
-        let out = logits.data();
-        let p = Prediction::new([out[0], out[1], out[2]]);
-        pad.give_tensor(logits);
-        p
-    }
-
-    /// Panel order: the five front-end convolutions, `proj`, `head`.
-    /// The transformer blocks run per sample on the existing scratch
-    /// path (attention is token-coupled; batching them would only
-    /// re-stage the same GEMV work).
+    /// Panel order: the five front-end convolutions, `proj`, `head`,
+    /// then [`BLOCK_PANELS`] per transformer block.
     fn pack_weights(&self) -> PackedWeights {
-        let mut pw = PackedWeights::empty(self.kind());
+        let mut pw = PackedWeights::new(self.kind());
         for conv in &self.convs {
             pw.push(conv.pack());
         }
         pw.push(self.proj.pack());
         pw.push(self.head.pack());
+        for block in &self.blocks {
+            block.pack(&mut pw);
+        }
         pw
     }
 
@@ -355,9 +331,6 @@ impl Model for TransLob {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        if packed.is_empty() {
-            return self.forward_batch_looped(inputs, pad, out);
-        }
         out.clear();
         let batch = inputs.len();
         if batch == 0 {
@@ -368,7 +341,7 @@ impl Model for TransLob {
         let d = self.spec.d_model;
         let threads = packed.threads();
         // Stage every sample channels-first [F, T, 1] (fully overwritten,
-        // so skip the zero fill), as the single-sample path does.
+        // so skip the zero fill), as the reference does.
         let mut cur = pad.take_dirty(batch * f * t);
         for (s, input) in inputs.iter().enumerate() {
             assert_eq!(input.shape(), [t, f], "input must be [window, features]");
@@ -402,38 +375,35 @@ impl Model for TransLob {
             }
         }
         pad.give(cur);
-        // Project every token of every sample in one row-wise sweep.
+        // Project every token of every sample in one row-wise sweep,
+        // then add each sample's positional encoding.
         let mut tokens = pad.take_dirty(batch * t * d);
         self.proj
-            .forward_batch_packed(&seq, batch * t, packed.panel(CONV_LAYERS), &mut tokens);
+            .forward_batch_packed(&seq, batch * t, packed.panel(PROJ_PANEL), &mut tokens);
         pad.give(seq);
-        // Transformer blocks are token-coupled: run them per sample on
-        // the scratch path, pooling each sample's result as it finishes.
-        // `take` (not `take_dirty`): the pooled accumulator must start
-        // at zero, matching the single-sample path.
-        let mut pooled = pad.take(batch * d);
-        for s in 0..batch {
-            let mut tok = pad.take_tensor(&[t, d]);
-            tok.data_mut()
-                .copy_from_slice(&tokens[s * t * d..(s + 1) * t * d]);
-            for (v, p) in tok.data_mut().iter_mut().zip(self.pos.data()) {
+        for sample in tokens.chunks_exact_mut(t * d) {
+            for (v, p) in sample.iter_mut().zip(self.pos.data()) {
                 *v += p;
             }
-            for block in &self.blocks {
-                tok = block.forward_scratch(tok, pad);
-            }
-            let acc = &mut pooled[s * d..(s + 1) * d];
-            for ti in 0..t {
-                for (a, v) in acc.iter_mut().zip(tok.row(ti)) {
+        }
+        for (l, block) in self.blocks.iter().enumerate() {
+            let base = BLOCK_PANEL_BASE + l * BLOCK_PANELS;
+            block.forward_batch(&mut tokens, batch, t, packed, base, pad);
+        }
+        // Mean pool over time. `take` (not `take_dirty`): the pooled
+        // accumulator must start at zero, matching the reference.
+        let mut pooled = pad.take(batch * d);
+        for (acc, sample) in pooled.chunks_exact_mut(d).zip(tokens.chunks_exact(t * d)) {
+            for row in sample.chunks_exact(d) {
+                for (a, v) in acc.iter_mut().zip(row) {
                     *a += v / t as f32;
                 }
             }
-            pad.give_tensor(tok);
         }
         pad.give(tokens);
         let mut logits = pad.take_dirty(batch * 3);
         self.head
-            .forward_batch_packed(&pooled, batch, packed.panel(CONV_LAYERS + 1), &mut logits);
+            .forward_batch_packed(&pooled, batch, packed.panel(HEAD_PANEL), &mut logits);
         pad.give(pooled);
         softmax_rows(&mut logits, batch, 3);
         for row in logits.chunks_exact(3) {

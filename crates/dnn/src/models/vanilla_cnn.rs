@@ -172,8 +172,9 @@ impl VanillaCnn {
     }
 
     /// The naive reference forward pass, built entirely from the layers'
-    /// `forward_reference` paths (kept for equivalence tests and the
-    /// benchmark baseline). Bit-identical to [`Model::forward`].
+    /// `forward_reference` paths: the oracle that
+    /// [`Model::forward_batch_scratch`] matches bit for bit per sample,
+    /// and the benchmark baseline.
     pub fn forward_reference(&self, input: &Tensor) -> Prediction {
         assert_eq!(
             input.shape(),
@@ -213,40 +214,9 @@ impl Model for VanillaCnn {
         self.spec.features
     }
 
-    fn forward_scratch(&self, input: &Tensor, pad: &mut ScratchPad) -> Prediction {
-        assert_eq!(
-            input.shape(),
-            [self.spec.window, self.spec.features],
-            "input must be [window, features]"
-        );
-        let mut x0 = pad.take_tensor(&[1, self.spec.window, self.spec.features]);
-        x0.data_mut().copy_from_slice(input.data());
-        let mut x = self.conv1.forward_scratch(&x0, pad);
-        pad.give_tensor(x0);
-        relu(&mut x);
-        let mut y = self.conv2.forward_scratch(&x, pad);
-        pad.give_tensor(x);
-        relu(&mut y);
-        let mut z = self.conv3.forward_scratch(&y, pad);
-        pad.give_tensor(y);
-        relu(&mut z);
-        let flat_len = z.len();
-        let flat = z.reshape(&[flat_len]);
-        let mut h = self.fc1.forward_scratch(&flat, pad);
-        pad.give_tensor(flat);
-        relu(&mut h);
-        let mut logits = self.fc2.forward_scratch(&h, pad);
-        pad.give_tensor(h);
-        softmax_last_dim(&mut logits);
-        let d = logits.data();
-        let p = Prediction::new([d[0], d[1], d[2]]);
-        pad.give_tensor(logits);
-        p
-    }
-
     /// Panel order: conv1, conv2, conv3, fc1, fc2.
     fn pack_weights(&self) -> PackedWeights {
-        let mut pw = PackedWeights::empty(self.kind());
+        let mut pw = PackedWeights::new(self.kind());
         pw.push(self.conv1.pack());
         pw.push(self.conv2.pack());
         pw.push(self.conv3.pack());
@@ -262,9 +232,6 @@ impl Model for VanillaCnn {
         pad: &mut ScratchPad,
         out: &mut Vec<Prediction>,
     ) {
-        if packed.is_empty() {
-            return self.forward_batch_looped(inputs, pad, out);
-        }
         out.clear();
         let batch = inputs.len();
         if batch == 0 {

@@ -1,5 +1,6 @@
 //! Multi-head self-attention (the TransLOB building block).
 
+use crate::batch::{scatter_samples, PackedPanels};
 use crate::kernels::{attn_context, attn_scores};
 use crate::ops::activation::{softmax_last_dim, softmax_rows};
 use crate::ops::count::attention_macs;
@@ -53,71 +54,92 @@ impl MultiHeadAttention {
         self.heads
     }
 
-    /// Applies self-attention to a `[T, D]` sequence.
-    ///
-    /// Runs the tiled fast path on a throwaway [`ScratchPad`]; use
-    /// [`Self::forward_scratch`] to reuse buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 2 of width `d_model`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
+    /// Packs the Q, K, V and output projections, in that order, for
+    /// [`Self::forward_batch_packed`].
+    pub fn pack(&self) -> [PackedPanels; 4] {
+        [
+            self.wq.pack(),
+            self.wk.pack(),
+            self.wv.pack(),
+            self.wo.pack(),
+        ]
     }
 
-    /// Applies self-attention with the tiled score/context kernels,
-    /// drawing every intermediate (Q/K/V, scores, context) from `pad`.
-    /// Bit-identical to [`Self::forward_reference`].
+    /// Self-attention over `batch` sequences of a sample-major flat
+    /// `[batch, t, d_model]` buffer, writing `[batch, t, d_model]` into
+    /// `out`. `packed` holds the Q, K, V and output panels of
+    /// [`Self::pack`], in that order.
+    ///
+    /// The four projections each run as one packed sweep over all
+    /// `batch * t` token rows; the token-coupled part — per-head scores,
+    /// softmax, and context — runs per sample on the tiled kernels
+    /// (`threads > 1` scatters samples across scoped threads). Per
+    /// sample bit-identical to [`Self::forward_reference`]: every
+    /// projection row and every score/context element keeps the naive
+    /// accumulation order.
     ///
     /// # Panics
     ///
-    /// Panics if the input is not rank 2 of width `d_model`.
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        expect_rank(x, 2, "MultiHeadAttention");
-        assert_eq!(x.shape()[1], self.d_model, "width mismatch");
-        let t = x.shape()[0];
-        let d_head = self.d_model / self.heads;
-        let q = self.wq.forward_scratch(x, pad);
-        let k = self.wk.forward_scratch(x, pad);
-        let v = self.wv.forward_scratch(x, pad);
+    /// Panics on buffer-length or packed-shape mismatches.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_batch_packed(
+        &self,
+        x: &[f32],
+        batch: usize,
+        t: usize,
+        packed: [&PackedPanels; 4],
+        threads: usize,
+        pad: &mut ScratchPad,
+        out: &mut [f32],
+    ) {
+        let d = self.d_model;
+        let rows = batch * t;
+        assert_eq!(x.len(), rows * d, "batched attention input length");
+        assert_eq!(out.len(), rows * d, "batched attention output length");
+        let [pq, pk, pv, po] = packed;
+        let d_head = d / self.heads;
         let scale = 1.0 / (d_head as f32).sqrt();
-        let mut context = pad.take_tensor(&[t, self.d_model]);
-        let mut scores = pad.take(t * t);
-        for h in 0..self.heads {
-            let off = h * d_head;
-            attn_scores(
-                q.data(),
-                k.data(),
-                t,
-                self.d_model,
-                off,
-                d_head,
-                scale,
-                &mut scores,
-            );
-            softmax_rows(&mut scores, t, t);
-            attn_context(
-                &scores,
-                v.data(),
-                t,
-                self.d_model,
-                off,
-                d_head,
-                context.data_mut(),
-            );
-        }
+        // Every buffer below is fully overwritten before it is read
+        // (the heads' context slices tile each row), so all of them
+        // skip the pool's zero fill.
+        let mut q = pad.take_dirty(rows * d);
+        self.wq.forward_batch_packed(x, rows, pq, &mut q);
+        let mut k = pad.take_dirty(rows * d);
+        self.wk.forward_batch_packed(x, rows, pk, &mut k);
+        let mut v = pad.take_dirty(rows * d);
+        self.wv.forward_batch_packed(x, rows, pv, &mut v);
+        let mut context = pad.take_dirty(rows * d);
+        let mut scores = pad.take_dirty(batch * t * t);
+        scatter_samples(
+            threads,
+            batch,
+            &mut context,
+            t * d,
+            &mut scores,
+            t * t,
+            |s, ctx, sc| {
+                let span = s * t * d..(s + 1) * t * d;
+                let (qs, ks, vs) = (&q[span.clone()], &k[span.clone()], &v[span]);
+                for h in 0..self.heads {
+                    let off = h * d_head;
+                    attn_scores(qs, ks, t, d, off, d_head, scale, sc);
+                    softmax_rows(sc, t, t);
+                    attn_context(sc, vs, t, d, off, d_head, ctx);
+                }
+            },
+        );
         pad.give(scores);
-        pad.give_tensor(q);
-        pad.give_tensor(k);
-        pad.give_tensor(v);
-        let out = self.wo.forward_scratch(&context, pad);
-        pad.give_tensor(context);
-        out
+        pad.give(q);
+        pad.give(k);
+        pad.give(v);
+        self.wo.forward_batch_packed(&context, rows, po, out);
+        pad.give(context);
     }
 
-    /// The naive reference implementation (kept for equivalence tests
-    /// and the benchmark baseline): `Tensor::at`-indexed loops over
-    /// naive Q/K/V/O projections.
+    /// Applies self-attention to one `[T, D]` sequence — the naive
+    /// reference implementation (the oracle of the equivalence tests and
+    /// the benchmark baseline): `Tensor::at`-indexed loops over naive
+    /// Q/K/V/O projections.
     ///
     /// # Panics
     ///
@@ -168,11 +190,24 @@ impl MultiHeadAttention {
 mod tests {
     use super::*;
 
+    /// Runs the packed path on `x` as a batch of one, checking it
+    /// against the reference bit for bit.
+    fn forward(mha: &MultiHeadAttention, x: &Tensor) -> Tensor {
+        let want = mha.forward_reference(x);
+        let mut out = vec![f32::NAN; x.len()];
+        let mut pad = ScratchPad::new();
+        let t = x.shape()[0];
+        let packed = mha.pack();
+        mha.forward_batch_packed(x.data(), 1, t, packed.each_ref(), 1, &mut pad, &mut out);
+        assert_eq!(out, want.data());
+        want
+    }
+
     #[test]
     fn output_shape_matches_input() {
         let mha = MultiHeadAttention::new(16, 4, 0);
         let x = Tensor::random(&[6, 16], 1.0, 1);
-        let y = mha.forward(&x);
+        let y = forward(&mha, &x);
         assert_eq!(y.shape(), &[6, 16]);
     }
 
@@ -187,7 +222,7 @@ mod tests {
             data.extend_from_slice(&row);
         }
         let x = Tensor::from_vec(data, &[4, 8]);
-        let y = mha.forward(&x);
+        let y = forward(&mha, &x);
         for t in 1..4 {
             assert_eq!(y.row(0), y.row(t));
         }
@@ -202,8 +237,8 @@ mod tests {
         let b = Tensor::random(&[1, 8], 1.0, 11);
         let ab = Tensor::from_vec([a.data(), b.data()].concat(), &[2, 8]);
         let ba = Tensor::from_vec([b.data(), a.data()].concat(), &[2, 8]);
-        let y_ab = mha.forward(&ab);
-        let y_ba = mha.forward(&ba);
+        let y_ab = forward(&mha, &ab);
+        let y_ba = forward(&mha, &ba);
         for (x, y) in y_ab.row(0).iter().zip(y_ba.row(1)) {
             assert!((x - y).abs() < 1e-4);
         }
@@ -213,8 +248,8 @@ mod tests {
     fn single_head_equals_heads_of_full_width() {
         // Sanity: single head runs and differs from multi-head chunking.
         let x = Tensor::random(&[3, 8], 1.0, 20);
-        let one = MultiHeadAttention::new(8, 1, 5).forward(&x);
-        let four = MultiHeadAttention::new(8, 4, 5).forward(&x);
+        let one = forward(&MultiHeadAttention::new(8, 1, 5), &x);
+        let four = forward(&MultiHeadAttention::new(8, 4, 5), &x);
         assert_eq!(one.shape(), four.shape());
         assert_ne!(one.data(), four.data());
     }

@@ -1,17 +1,14 @@
 //! Dense (fully connected) layers in BF16 and INT8.
 
 use crate::batch::PackedPanels;
-use crate::bf16::{bf16_round, quantize_int8, quantize_int8_into};
-use crate::kernels::{matvec_bias_bf16, matvec_i8_bias, matvec_packed_bias_bf16};
+use crate::bf16::{bf16_round, quantize_int8};
+use crate::kernels::matvec_packed_bias_bf16;
 use crate::ops::count::linear_macs;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// A dense layer `y = W x + b` with BF16-rounded weights.
-///
-/// Accepts rank-1 input `[in]` (returns `[out]`) or rank-2 input
-/// `[rows, in]` (applied row-wise, returns `[rows, out]`).
+/// A dense layer `y = W x + b` with BF16-rounded weights, applied
+/// row-wise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     weight: Tensor, // [out, in]
@@ -49,58 +46,6 @@ impl Linear {
         self.weight.shape()[0]
     }
 
-    /// Applies the layer; outputs are BF16-rounded.
-    ///
-    /// Runs the register-tiled matvec path on a throwaway
-    /// [`ScratchPad`]; use [`Self::forward_scratch`] to reuse buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input's last dimension is not [`Self::input_dim`].
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Applies the layer via the register-tiled matvec kernel, drawing
-    /// the output from `pad`. Bit-identical to
-    /// [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input's last dimension is not [`Self::input_dim`].
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        let (rows, input) = match x.shape() {
-            [n] => (1usize, *n),
-            [rows, n] => (*rows, *n),
-            other => panic!("Linear expects rank 1 or 2 input, got {other:?}"),
-        };
-        assert_eq!(
-            input,
-            self.input_dim(),
-            "input width {} != layer input {}",
-            input,
-            self.input_dim()
-        );
-        let output = self.output_dim();
-        let mut out = if x.shape().len() == 1 {
-            pad.take_tensor(&[output])
-        } else {
-            pad.take_tensor(&[rows, output])
-        };
-        for r in 0..rows {
-            let xin = &x.data()[r * input..(r + 1) * input];
-            matvec_bias_bf16(
-                self.weight.data(),
-                &self.bias,
-                xin,
-                output,
-                input,
-                &mut out.data_mut()[r * output..(r + 1) * output],
-            );
-        }
-        out
-    }
-
     /// Packs the `[out, in]` weight matrix into register panels for the
     /// batched forward path.
     pub fn pack(&self) -> PackedPanels {
@@ -108,9 +53,10 @@ impl Linear {
     }
 
     /// Applies the layer row-wise over a flat `[rows, in]` buffer using
-    /// prepacked weight panels, writing `[rows, out]` into `out`.
-    /// Per row bit-identical to [`Self::forward_scratch`] — packing only
-    /// permutes the weight layout, never the `k` accumulation order.
+    /// prepacked weight panels, writing BF16-rounded `[rows, out]` into
+    /// `out`. Per row bit-identical to [`Self::forward_reference`] —
+    /// packing only permutes the weight layout, never the `k`
+    /// accumulation order.
     ///
     /// # Panics
     ///
@@ -139,8 +85,9 @@ impl Linear {
         }
     }
 
-    /// The naive reference implementation (kept for equivalence tests
-    /// and the benchmark baseline); outputs are BF16-rounded.
+    /// The naive reference implementation (the oracle of the
+    /// equivalence tests and the benchmark baseline); outputs are
+    /// BF16-rounded. Accepts rank-1 `[in]` or rank-2 `[rows, in]` input.
     ///
     /// # Panics
     ///
@@ -188,7 +135,8 @@ impl Linear {
 ///
 /// Weights are symmetric per-tensor quantized at construction; activations
 /// are quantized per call. Accuracy is strictly worse than [`Linear`] but
-/// the accelerator runs it at 4x throughput.
+/// the accelerator runs it at 4x throughput. Reference-only: it backs
+/// the quantization-error study of `QuantizedCnn`, not a serving path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearInt8 {
     weight_q: Vec<i8>, // [out, in]
@@ -211,43 +159,8 @@ impl LinearInt8 {
         }
     }
 
-    /// Applies the quantized layer to a rank-1 input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width mismatches.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// Applies the quantized layer, drawing the activation-quantization
-    /// buffer and output from `pad`. Bit-identical to
-    /// [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width mismatches.
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        assert_eq!(x.shape(), [self.input], "LinearInt8 expects rank-1 input");
-        let mut x_q = pad.take_i8(self.input);
-        let x_scale = quantize_int8_into(x.data(), &mut x_q);
-        let mut out = pad.take_tensor(&[self.output]);
-        matvec_i8_bias(
-            &self.weight_q,
-            &x_q,
-            &self.bias,
-            self.output,
-            self.input,
-            self.weight_scale,
-            x_scale,
-            out.data_mut(),
-        );
-        pad.give_i8(x_q);
-        out
-    }
-
-    /// The naive reference implementation (kept for equivalence tests
-    /// and the benchmark baseline).
+    /// Applies the quantized layer to a rank-1 input: activations are
+    /// quantized per call, the dot accumulates in `i32`.
     ///
     /// # Panics
     ///
@@ -272,6 +185,17 @@ impl LinearInt8 {
 mod tests {
     use super::*;
 
+    /// Runs the packed path over every row of `x`, checking it against
+    /// the reference bit for bit.
+    fn forward(layer: &Linear, x: &Tensor) -> Tensor {
+        let want = layer.forward_reference(x);
+        let rows = x.len() / layer.input_dim();
+        let mut out = vec![f32::NAN; rows * layer.output_dim()];
+        layer.forward_batch_packed(x.data(), rows, &layer.pack(), &mut out);
+        assert_eq!(out, want.data());
+        want
+    }
+
     fn identity3() -> Linear {
         let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], &[3, 3]);
         Linear::from_weights(w, vec![0.0; 3])
@@ -280,7 +204,7 @@ mod tests {
     #[test]
     fn identity_passes_through() {
         let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]);
-        let y = identity3().forward(&x);
+        let y = forward(&identity3(), &x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -289,7 +213,7 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let layer = Linear::from_weights(w, vec![0.5, -0.5]);
         let x = Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         assert_eq!(y.data(), &[6.5, 14.5]);
     }
 
@@ -297,7 +221,7 @@ mod tests {
     fn rank2_applies_rowwise() {
         let layer = identity3();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         assert_eq!(y.shape(), &[2, 3]);
         assert_eq!(y.row(1), &[4.0, 5.0, 6.0]);
     }
@@ -306,7 +230,7 @@ mod tests {
     fn outputs_are_bf16() {
         let layer = Linear::new(16, 8, 1);
         let x = Tensor::random(&[16], 1.0, 2);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         for &v in y.data() {
             assert_eq!(bf16_round(v), v);
         }
@@ -323,8 +247,8 @@ mod tests {
     fn int8_approximates_bf16() {
         let layer = Linear::new(64, 32, 7);
         let x = Tensor::random(&[64], 1.0, 8);
-        let exact = layer.forward(&x);
-        let q = LinearInt8::from_linear(&layer).forward(&x);
+        let exact = layer.forward_reference(&x);
+        let q = LinearInt8::from_linear(&layer).forward_reference(&x);
         let mut max_err = 0.0f32;
         let mut max_mag = 0.0f32;
         for (a, b) in exact.data().iter().zip(q.data()) {
@@ -340,6 +264,6 @@ mod tests {
     #[should_panic(expected = "input width")]
     fn wrong_width_panics() {
         let layer = Linear::new(4, 2, 0);
-        let _ = layer.forward(&Tensor::zeros(&[5]));
+        let _ = layer.forward_reference(&Tensor::zeros(&[5]));
     }
 }

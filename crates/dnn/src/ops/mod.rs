@@ -1,9 +1,11 @@
 //! Neural-network layers and their analytic cost counters.
 //!
-//! Each layer owns its weights, offers a `forward` pass on [`Tensor`]s,
-//! and exposes the MAC count of that pass through [`count`]. The counters
-//! are what the accelerator's latency model consumes; the forward passes
-//! are used functionally by tests, examples, and the CGRA simulator.
+//! Each layer owns its weights and offers two forwards: a naive
+//! `forward_reference` on [`Tensor`]s (the oracle, also used by the CGRA
+//! simulator) and a packed `forward_batch_packed` over flat sample-major
+//! buffers (the path every model query takes). Each exposes the MAC
+//! count of its pass through [`count`], which the accelerator's latency
+//! model consumes.
 
 pub mod activation;
 pub mod attention;

@@ -1,7 +1,6 @@
 //! Layer normalization (used by the transformer blocks).
 
 use crate::ops::expect_rank;
-use crate::scratch::ScratchPad;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -29,42 +28,31 @@ impl LayerNorm {
         self.gamma.len()
     }
 
-    /// Normalizes each row of `[T, D]` to zero mean / unit variance, then
-    /// applies scale and shift.
+    /// Normalizes each row of a flat `[rows, D]` buffer to zero mean /
+    /// unit variance, then applies scale and shift, writing `[rows, D]`
+    /// into `out`. Bit-identical to [`Self::forward_reference`]: the
+    /// same per-row reductions, written through slices.
     ///
     /// # Panics
     ///
-    /// Panics if the input is not rank 2 of width [`Self::dim`].
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_scratch(x, &mut ScratchPad::new())
-    }
-
-    /// [`Self::forward`] drawing the output from `pad` and writing rows
-    /// through slices. Bit-identical to [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 2 of width [`Self::dim`].
-    pub fn forward_scratch(&self, x: &Tensor, pad: &mut ScratchPad) -> Tensor {
-        expect_rank(x, 2, "LayerNorm");
-        let (t, d) = (x.shape()[0], x.shape()[1]);
-        assert_eq!(d, self.dim(), "width mismatch");
-        let mut out = pad.take_tensor(&[t, d]);
-        for r in 0..t {
-            let row = x.row(r);
+    /// Panics on buffer-length mismatches.
+    pub fn forward_rows(&self, x: &[f32], rows: usize, out: &mut [f32]) {
+        let d = self.dim();
+        assert_eq!(x.len(), rows * d, "layer norm input length");
+        assert_eq!(out.len(), rows * d, "layer norm output length");
+        for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
             let mean = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
             let inv = 1.0 / (var + self.eps).sqrt();
-            let orow = &mut out.data_mut()[r * d..(r + 1) * d];
             for c in 0..d {
                 orow[c] = (row[c] - mean) * inv * self.gamma[c] + self.beta[c];
             }
         }
-        out
     }
 
-    /// The naive reference implementation (kept for equivalence tests
-    /// and the benchmark baseline).
+    /// Normalizes each row of `[T, D]` to zero mean / unit variance, then
+    /// applies scale and shift — the naive reference implementation
+    /// (the oracle of the equivalence tests and the benchmark baseline).
     ///
     /// # Panics
     ///
@@ -91,6 +79,15 @@ impl LayerNorm {
 mod tests {
     use super::*;
 
+    /// Runs the row-slice pass, checking it against the reference.
+    fn forward(ln: &LayerNorm, x: &Tensor) -> Tensor {
+        let want = ln.forward_reference(x);
+        let mut out = vec![f32::NAN; x.len()];
+        ln.forward_rows(x.data(), x.shape()[0], &mut out);
+        assert_eq!(out, want.data());
+        want
+    }
+
     #[test]
     fn normalizes_rows() {
         let ln = LayerNorm::new(4);
@@ -98,7 +95,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 100.0, 200.0, 300.0, 400.0],
             &[2, 4],
         );
-        let y = ln.forward(&x);
+        let y = forward(&ln, &x);
         for r in 0..2 {
             let row = y.row(r);
             let mean: f32 = row.iter().sum::<f32>() / 4.0;
@@ -117,7 +114,7 @@ mod tests {
     fn constant_row_is_stable() {
         let ln = LayerNorm::new(3);
         let x = Tensor::from_vec(vec![5.0, 5.0, 5.0], &[1, 3]);
-        let y = ln.forward(&x);
+        let y = forward(&ln, &x);
         assert!(y.data().iter().all(|v| v.is_finite()));
         assert!(y.data().iter().all(|v| v.abs() < 1e-2));
     }
@@ -126,6 +123,6 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let ln = LayerNorm::new(3);
-        let _ = ln.forward(&Tensor::zeros(&[1, 4]));
+        let _ = forward(&ln, &Tensor::zeros(&[1, 4]));
     }
 }

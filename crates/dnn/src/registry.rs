@@ -168,9 +168,7 @@ impl ModelRegistry {
             entry.input.data_mut().copy_from_slice(src);
             &entry.input
         };
-        // Single queries ride the packed batch path at batch 1 — the
-        // panels are bit-identical to the row-major weights (pinned by
-        // `tests/batch_equivalence.rs`), so this only changes speed.
+        // A single query is a batch of one through the packed path.
         entry.model.forward_batch_scratch(
             std::slice::from_ref(staged),
             &entry.packed,

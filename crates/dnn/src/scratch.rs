@@ -1,13 +1,13 @@
 //! A reusable buffer arena for allocation-free inference.
 //!
-//! Every layer's fast path ([`Conv2d::forward_scratch`] and friends)
-//! draws its intermediate buffers and output tensors from a
-//! [`ScratchPad`] instead of the global allocator. The pad keeps a
-//! free list of retired buffers; once a model has run a couple of
-//! forward passes the pool holds a buffer for every shape the network
-//! produces and steady-state inference performs **zero heap
-//! allocations** (asserted by the `zero_alloc` integration test with a
-//! counting global allocator).
+//! Every packed batched forward ([`Conv2d::forward_batch_packed`] and
+//! friends, and the models' `forward_batch_scratch`) draws its
+//! intermediate buffers from a [`ScratchPad`] instead of the global
+//! allocator. The pad keeps a free list of retired buffers; once a
+//! model has run a couple of forward passes the pool holds a buffer for
+//! every shape the network produces and steady-state inference performs
+//! **zero heap allocations** (asserted by the `zero_alloc` integration
+//! test with a counting global allocator).
 //!
 //! Ownership protocol:
 //!
@@ -20,15 +20,14 @@
 //!   fresh and counted in [`ScratchPad::misses`]; after warm-up the
 //!   miss counter must stop growing.
 //!
-//! [`Conv2d::forward_scratch`]: crate::ops::Conv2d::forward_scratch
+//! [`Conv2d::forward_batch_packed`]: crate::ops::Conv2d::forward_batch_packed
 
 use crate::tensor::Tensor;
 
-/// A best-fit free-list pool of `f32` and `i8` buffers.
+/// A best-fit free-list pool of `f32` buffers.
 #[derive(Debug, Default)]
 pub struct ScratchPad {
     f32_pool: Vec<Vec<f32>>,
-    i8_pool: Vec<Vec<i8>>,
     misses: u64,
 }
 
@@ -101,42 +100,15 @@ impl ScratchPad {
         self.give(t.into_vec());
     }
 
-    /// Takes a zero-filled `i8` buffer of exactly `len` elements (used by
-    /// the INT8 activation-quantization path).
-    pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        let mut buf = match best_fit(&self.i8_pool, len) {
-            Some(i) => self.i8_pool.swap_remove(i),
-            None => {
-                self.misses += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns an `i8` buffer to the pool.
-    pub fn give_i8(&mut self, buf: Vec<i8>) {
-        if buf.capacity() > 0 {
-            self.i8_pool.push(buf);
-        }
-    }
-
     /// How many `take`s could not be served from the pool (each miss is
     /// one heap allocation). Stable across calls once warmed up.
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Buffers currently sitting in the free list.
-    pub fn pooled_buffers(&self) -> usize {
-        self.f32_pool.len() + self.i8_pool.len()
-    }
 }
 
 /// Index of the smallest pooled buffer with capacity >= `len`.
-fn best_fit<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
+fn best_fit(pool: &[Vec<f32>], len: usize) -> Option<usize> {
     let mut best: Option<(usize, usize)> = None;
     for (i, v) in pool.iter().enumerate() {
         let cap = v.capacity();
@@ -231,16 +203,5 @@ mod tests {
         let t2 = pad.take_tensor(&[3, 2]);
         assert_eq!(t2.data().as_ptr(), ptr, "same buffer, new shape");
         assert_eq!(pad.misses(), 1);
-    }
-
-    #[test]
-    fn i8_pool_is_separate() {
-        let mut pad = ScratchPad::new();
-        let q = pad.take_i8(10);
-        assert_eq!(q.len(), 10);
-        pad.give_i8(q);
-        let _ = pad.take_i8(10);
-        assert_eq!(pad.misses(), 1);
-        assert_eq!(pad.pooled_buffers(), 0);
     }
 }

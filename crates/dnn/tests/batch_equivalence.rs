@@ -1,8 +1,10 @@
-//! The batched-inference contract: `Model::forward_batch_scratch` over
-//! prepacked weight panels is **bit-identical**, per sample, to looping
-//! `forward_scratch` — packing permutes operand layout and batching
-//! stacks GEMM output dimensions, neither touches any `k` accumulation
-//! chain. Also pins the packed/batched kernels at degenerate shapes.
+//! The one-forward-path contract: `Model::forward_batch_scratch` over
+//! prepacked weight panels is **bit-identical**, per sample, to the
+//! model's naive `forward_reference` — packing permutes operand layout
+//! and batching stacks GEMM output dimensions, neither touches any `k`
+//! accumulation chain — at every batch size (a single query is a batch
+//! of one) and every thread count. Also pins the packed/batched kernels
+//! at degenerate shapes.
 
 use lt_dnn::kernels::{
     gemm_bt_bias_rows_bf16, gemm_packed_bt_bias_rows_bf16, im2col_batch, matvec_packed_bias_bf16,
@@ -25,26 +27,27 @@ fn random_batch(model: &dyn Model, batch: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Asserts batched == looped, bit for bit, and returns the predictions.
-fn assert_batch_matches_loop(
+/// Asserts batched == per-sample reference, bit for bit, and returns
+/// the predictions.
+fn assert_batch_matches_reference(
     name: &str,
     model: &dyn Model,
+    reference: impl Fn(&Tensor) -> Prediction,
     packed: &PackedWeights,
     inputs: &[Tensor],
 ) -> Vec<Prediction> {
     let mut pad = ScratchPad::new();
-    let mut looped = Vec::new();
-    model.forward_batch_looped(inputs, &mut pad, &mut looped);
     let mut batched = Vec::new();
     model.forward_batch_scratch(inputs, packed, &mut pad, &mut batched);
     assert_eq!(batched.len(), inputs.len(), "{name}: prediction count");
-    for (s, (b, l)) in batched.iter().zip(&looped).enumerate() {
+    for (s, (b, input)) in batched.iter().zip(inputs).enumerate() {
+        let r = reference(input);
         assert_eq!(
             b.probs.map(f32::to_bits),
-            l.probs.map(f32::to_bits),
-            "{name}: sample {s} diverged (batched {:?} vs looped {:?})",
+            r.probs.map(f32::to_bits),
+            "{name}: sample {s} diverged (batched {:?} vs reference {:?})",
             b.probs,
-            l.probs
+            r.probs
         );
     }
     batched
@@ -53,31 +56,42 @@ fn assert_batch_matches_loop(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// VanillaCnn: batched packed path == looped path, any batch size.
+    /// VanillaCnn: packed path == looped reference, any batch size,
+    /// serial and threaded.
     #[test]
-    fn vanilla_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
+    fn vanilla_batch_matches_loop(seed in 0u64..500, batch in 0usize..6, threads in 2usize..5) {
         let model = CnnSpec::tiny().build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("VanillaCnn", &model, &packed, &inputs);
+        for packed in [model.pack_weights(), model.pack_weights().with_threads(threads)] {
+            assert_batch_matches_reference(
+                "VanillaCnn", &model, |x| model.forward_reference(x), &packed, &inputs,
+            );
+        }
     }
 
-    /// TransLob: batched packed path == looped path, any batch size.
+    /// TransLob: packed path (conv stack, projections over all token
+    /// rows, per-sample attention) == looped reference.
     #[test]
-    fn translob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
+    fn translob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6, threads in 2usize..5) {
         let model = TransLobSpec::tiny().build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("TransLob", &model, &packed, &inputs);
+        for packed in [model.pack_weights(), model.pack_weights().with_threads(threads)] {
+            assert_batch_matches_reference(
+                "TransLob", &model, |x| model.forward_reference(x), &packed, &inputs,
+            );
+        }
     }
 
-    /// DeepLob: batched packed path == looped path, any batch size.
+    /// DeepLob: packed path == looped reference.
     #[test]
-    fn deeplob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6) {
+    fn deeplob_batch_matches_loop(seed in 0u64..500, batch in 0usize..6, threads in 2usize..5) {
         let model = DeepLobSpec::tiny().build(seed);
-        let packed = model.pack_weights();
         let inputs = random_batch(&model, batch, seed);
-        assert_batch_matches_loop("DeepLob", &model, &packed, &inputs);
+        for packed in [model.pack_weights(), model.pack_weights().with_threads(threads)] {
+            assert_batch_matches_reference(
+                "DeepLob", &model, |x| model.forward_reference(x), &packed, &inputs,
+            );
+        }
     }
 
     /// Thread scatter only re-times work: multi-threaded batched
@@ -88,19 +102,13 @@ proptest! {
         let serial = model.pack_weights();
         let parallel = model.pack_weights().with_threads(threads);
         let inputs = random_batch(&model, 5, seed);
-        let a = assert_batch_matches_loop("DeepLob serial", &model, &serial, &inputs);
-        let b = assert_batch_matches_loop("DeepLob parallel", &model, &parallel, &inputs);
+        let reference = |x: &Tensor| model.forward_reference(x);
+        let a = assert_batch_matches_reference("DeepLob serial", &model, reference, &serial, &inputs);
+        let b = assert_batch_matches_reference(
+            "DeepLob parallel", &model, reference, &parallel, &inputs,
+        );
         prop_assert_eq!(a, b);
     }
-}
-
-/// An empty pack is the explicit looped-fallback marker.
-#[test]
-fn empty_pack_runs_looped_fallback() {
-    let model = CnnSpec::tiny().build(11);
-    let empty = PackedWeights::empty(model.kind());
-    let inputs = random_batch(&model, 3, 11);
-    assert_batch_matches_loop("VanillaCnn empty pack", &model, &empty, &inputs);
 }
 
 /// Results land in input order and `out` is cleared between calls.
@@ -114,7 +122,7 @@ fn batch_output_order_and_reuse() {
     model.forward_batch_scratch(&inputs, &packed, &mut pad, &mut out);
     assert_eq!(out.len(), 4);
     for (s, input) in inputs.iter().enumerate() {
-        let single = model.forward_scratch(input, &mut pad);
+        let single = model.forward_reference(input);
         assert_eq!(
             out[s].probs.map(f32::to_bits),
             single.probs.map(f32::to_bits)

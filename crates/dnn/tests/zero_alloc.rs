@@ -1,6 +1,7 @@
 //! Proves the zero-allocation claim: after a warm-up pass populates the
-//! [`ScratchPad`]'s free lists, steady-state `forward_scratch` performs
-//! **zero** heap allocations for every benchmark model.
+//! [`ScratchPad`]'s free lists, steady-state `forward_batch_scratch`
+//! performs **zero** heap allocations for every benchmark model, at
+//! batch 1 (a single query) and batch 8.
 //!
 //! The proof uses a counting `#[global_allocator]` wrapping the system
 //! allocator; the whole file is one `#[test]` so the allocator and its
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lt_dnn::models::{CnnSpec, DeepLobSpec, QuantizedCnn, TransLobSpec};
+use lt_dnn::models::{CnnSpec, DeepLobSpec, TransLobSpec};
 use lt_dnn::{Model, Prediction, ScratchPad, Tensor};
 
 thread_local! {
@@ -56,39 +57,10 @@ fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-fn assert_steady_state_alloc_free(name: &str, model: &dyn Model, input: &Tensor) {
-    let mut pad = ScratchPad::new();
-    // Warm up: the first passes populate the pad's free lists. Three
-    // passes (not one) so take/give ordering differences across calls
-    // are already settled before we start counting.
-    for _ in 0..3 {
-        let _ = model.forward_scratch(input, &mut pad);
-    }
-    let misses_before = pad.misses();
-    let allocs_before = allocations();
-    let p = model.forward_scratch(input, &mut pad);
-    let allocs_after = allocations();
-    let misses_after = pad.misses();
-    assert!(
-        p.probs.iter().all(|v| v.is_finite()),
-        "{name}: non-finite output"
-    );
-    assert_eq!(
-        allocs_after - allocs_before,
-        0,
-        "{name}: steady-state forward_scratch allocated"
-    );
-    assert_eq!(
-        misses_after, misses_before,
-        "{name}: scratch pad missed in steady state"
-    );
-}
-
-/// The batched twin: once the weight panels are packed and a warm-up
-/// batch has sized the pad's buffers and the output vector, serial
-/// (`threads = 1`) batched forwards at the same batch size allocate
-/// nothing — staging, unfold, packed GEMM, and prediction output all
-/// live in recycled storage.
+/// Once the weight panels are packed and a warm-up batch has sized the
+/// pad's buffers and the output vector, serial (`threads = 1`) batched
+/// forwards at the same batch size allocate nothing — staging, unfold,
+/// packed GEMM, and prediction output all live in recycled storage.
 fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &[Tensor]) {
     let packed = model.pack_weights();
     let mut pad = ScratchPad::new();
@@ -120,23 +92,19 @@ fn assert_steady_state_batch_alloc_free(name: &str, model: &dyn Model, inputs: &
 #[test]
 fn steady_state_forward_is_allocation_free() {
     let vanilla = CnnSpec::tiny().build(3);
-    let quant = QuantizedCnn::from_float(&vanilla);
     let deeplob = DeepLobSpec::tiny().build(3);
     let translob = TransLobSpec::tiny().build(3);
-    let x20 = Tensor::random(&[20, 40], 1.0, 5);
-    let x24 = Tensor::random(&[24, 40], 1.0, 5);
-    let x16 = Tensor::random(&[16, 40], 1.0, 5);
-    assert_steady_state_alloc_free("VanillaCnn", &vanilla, &x20);
-    assert_steady_state_alloc_free("QuantizedCnn", &quant, &x20);
-    assert_steady_state_alloc_free("DeepLob", &deeplob, &x24);
-    assert_steady_state_alloc_free("TransLob", &translob, &x16);
-
-    let batch = |rows: usize| -> Vec<Tensor> {
-        (0..8)
+    let batch = |rows: usize, n: u64| -> Vec<Tensor> {
+        (0..n)
             .map(|i| Tensor::random(&[rows, 40], 1.0, 60 + i))
             .collect()
     };
-    assert_steady_state_batch_alloc_free("VanillaCnn batch", &vanilla, &batch(20));
-    assert_steady_state_batch_alloc_free("DeepLob batch", &deeplob, &batch(24));
-    assert_steady_state_batch_alloc_free("TransLob batch", &translob, &batch(16));
+    // A single query is a batch of one.
+    assert_steady_state_batch_alloc_free("VanillaCnn", &vanilla, &batch(20, 1));
+    assert_steady_state_batch_alloc_free("DeepLob", &deeplob, &batch(24, 1));
+    assert_steady_state_batch_alloc_free("TransLob", &translob, &batch(16, 1));
+
+    assert_steady_state_batch_alloc_free("VanillaCnn batch", &vanilla, &batch(20, 8));
+    assert_steady_state_batch_alloc_free("DeepLob batch", &deeplob, &batch(24, 8));
+    assert_steady_state_batch_alloc_free("TransLob batch", &translob, &batch(16, 8));
 }

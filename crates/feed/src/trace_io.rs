@@ -31,6 +31,8 @@ pub enum TraceIoError {
     BadChecksum,
     /// The payload ended mid-record.
     Truncated,
+    /// The symbol field is empty, longer than eight bytes, or not UTF-8.
+    BadSymbol,
 }
 
 impl fmt::Display for TraceIoError {
@@ -41,6 +43,7 @@ impl fmt::Display for TraceIoError {
             TraceIoError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceIoError::BadChecksum => f.write_str("trace checksum mismatch"),
             TraceIoError::Truncated => f.write_str("trace file truncated"),
+            TraceIoError::BadSymbol => f.write_str("trace symbol must be 1..=8 UTF-8 bytes"),
         }
     }
 }
@@ -121,12 +124,15 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TickTrace, TraceIoError> {
         return Err(TraceIoError::BadVersion(version));
     }
     let sym_len = buf.get_u8() as usize;
-    if buf.remaining() < sym_len {
+    if !(1..=8).contains(&sym_len) {
+        return Err(TraceIoError::BadSymbol);
+    }
+    if buf.remaining() < sym_len + 8 {
         return Err(TraceIoError::Truncated);
     }
-    let mut sym = vec![0u8; sym_len];
-    buf.copy_to_slice(&mut sym);
-    let symbol = Symbol::new(std::str::from_utf8(&sym).map_err(|_| TraceIoError::BadMagic)?);
+    let (sym, rest) = buf.split_at(sym_len);
+    let symbol = Symbol::new(std::str::from_utf8(sym).map_err(|_| TraceIoError::BadSymbol)?);
+    buf = rest;
     let count = buf.get_u64_le() as usize;
     let mut trace = TickTrace::new(symbol);
     for _ in 0..count {
@@ -264,6 +270,78 @@ mod tests {
         let t = TickTrace::new(Symbol::new("ESU6"));
         let back = decode_trace(&encode_trace(&t)).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// Re-seals a hand-edited body with a valid checksum, so the decoder
+    /// gets past the integrity check and parses the hostile fields.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    /// Header bytes up to and including the symbol-length field.
+    fn header(sym_len: u8) -> Vec<u8> {
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&VERSION.to_le_bytes());
+        body.push(sym_len);
+        body
+    }
+
+    #[test]
+    fn rejects_empty_symbol() {
+        let mut body = header(0);
+        body.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            decode_trace(&seal(body)),
+            Err(TraceIoError::BadSymbol)
+        ));
+    }
+
+    #[test]
+    fn rejects_overlong_symbol() {
+        let mut body = header(10);
+        body.extend_from_slice(b"ABCDEFGHIJ");
+        body.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            decode_trace(&seal(body)),
+            Err(TraceIoError::BadSymbol)
+        ));
+    }
+
+    #[test]
+    fn rejects_non_utf8_symbol() {
+        let mut body = header(2);
+        body.extend_from_slice(&[0xC3, 0x28]);
+        body.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            decode_trace(&seal(body)),
+            Err(TraceIoError::BadSymbol)
+        ));
+    }
+
+    #[test]
+    fn rejects_cut_tick_count() {
+        let mut body = header(5);
+        body.extend_from_slice(b"ESZ26");
+        body.extend_from_slice(&[1, 0, 0]);
+        let bytes = seal(body);
+        assert_eq!(bytes.len(), 23, "the cut count must clear the length gate");
+        assert!(matches!(decode_trace(&bytes), Err(TraceIoError::Truncated)));
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bodies sealed with a valid checksum never panic the
+        /// decoder: every outcome is a trace or a typed error.
+        #[test]
+        fn sealed_arbitrary_bodies_never_panic(
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            sym_len in 0u8..=12,
+        ) {
+            let mut body = header(sym_len);
+            body.extend_from_slice(&tail);
+            let _ = decode_trace(&seal(body));
+        }
     }
 
     #[test]

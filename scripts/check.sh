@@ -37,7 +37,7 @@ echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
 cargo test -q --release -p lt-lob --test book_equivalence
 cargo test -q --release -p lt-pipeline --test zero_alloc
 
-echo "== batched inference gates: batch/loop bit-equivalence + batched zero-alloc =="
+echo "== packed inference gates: batched-vs-reference bit-equivalence + batch-1/batch-8 zero-alloc =="
 cargo test -q --release -p lt-dnn --test batch_equivalence
 cargo test -q --release -p lt-dnn --test zero_alloc
 
@@ -74,9 +74,12 @@ if [[ "$fast" == "0" ]]; then
     cargo run --release -p lt-bench --bin bench_sweep
     grep -q '"floor_met": true' BENCH_sweep.json
 
-    echo "== batched inference regression (2x DeepLOB per-query floor at batch 16) =="
+    echo "== batched inference regression (12.6x DeepLOB per-query floor over the reference at batch 16) =="
     cargo run --release -p lt-bench --bin bench_batch
     grep -q '"floor_met": true' BENCH_batch.json
+
+    echo "== kernel regression (5x DeepLOB batch-1 floor over the reference) =="
+    cargo run --release -p lt-bench --bin bench_kernels
 
     echo "== deadline-tier regression (1.2x tiered-vs-best-fixed hit-rate floor) =="
     cargo run --release -p lt-bench --bin bench_deadline

@@ -92,7 +92,7 @@ fn cgra_functional_equivalence() {
     let mut sim = CgraSim::new(GridConfig::lighttrader());
     let layer = Linear::new(64, 32, 5);
     let x = Tensor::random(&[64], 1.0, 6);
-    let host = layer.forward(&x);
+    let host = layer.forward_reference(&x);
     let accel = sim.run_linear(&layer, &x);
     assert_eq!(host, accel);
     assert_eq!(sim.macs_executed(), 64 * 32);
