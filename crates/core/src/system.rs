@@ -818,6 +818,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_sbe_block_in_a_sealed_datagram_is_counted_not_fatal() {
+        // A checksum-valid datagram whose payload is a bare book header
+        // with an empty block: the decoder must reject it, not read past
+        // the payload.
+        let payload: Vec<u8> = [
+            0u16,
+            lt_protocol::sbe::TEMPLATE_BOOK,
+            lt_protocol::SCHEMA_ID,
+            lt_protocol::SCHEMA_VERSION,
+        ]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+        let bytes = lt_protocol::Datagram::new(0, Timestamp::from_nanos(1), 1, payload).encode();
+        let mut system = LightTrader::builder(ModelKind::VanillaCnn).build();
+        assert!(system.on_datagram(&bytes).is_empty());
+        assert_eq!(system.parser_stats().corrupt, 1);
+    }
+
+    #[test]
     fn debug_format_is_informative() {
         let system = LightTrader::builder(ModelKind::TransLob).build();
         let s = format!("{system:?}");

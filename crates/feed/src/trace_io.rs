@@ -124,14 +124,14 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TickTrace, TraceIoError> {
         return Err(TraceIoError::BadVersion(version));
     }
     let sym_len = buf.get_u8() as usize;
-    if !(1..=8).contains(&sym_len) {
-        return Err(TraceIoError::BadSymbol);
-    }
     if buf.remaining() < sym_len + 8 {
         return Err(TraceIoError::Truncated);
     }
     let (sym, rest) = buf.split_at(sym_len);
-    let symbol = Symbol::new(std::str::from_utf8(sym).map_err(|_| TraceIoError::BadSymbol)?);
+    let symbol = std::str::from_utf8(sym)
+        .ok()
+        .and_then(Symbol::try_new)
+        .ok_or(TraceIoError::BadSymbol)?;
     buf = rest;
     let count = buf.get_u64_le() as usize;
     let mut trace = TickTrace::new(symbol);

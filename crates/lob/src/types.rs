@@ -307,17 +307,21 @@ impl Symbol {
     ///
     /// Panics if `name` is empty or longer than eight bytes.
     pub fn new(name: &str) -> Self {
-        assert!(
-            !name.is_empty() && name.len() <= 8,
-            "symbol must be 1..=8 bytes, got {:?}",
-            name
-        );
+        Self::try_new(name).unwrap_or_else(|| panic!("symbol must be 1..=8 bytes, got {name:?}"))
+    }
+
+    /// Creates a symbol, or `None` if `name` is empty or longer than
+    /// eight bytes — the constructor for names read off the wire.
+    pub fn try_new(name: &str) -> Option<Self> {
+        if name.is_empty() || name.len() > 8 {
+            return None;
+        }
         let mut bytes = [0u8; 8];
         bytes[..name.len()].copy_from_slice(name.as_bytes());
-        Symbol {
+        Some(Symbol {
             bytes,
             len: name.len() as u8,
-        }
+        })
     }
 
     /// The symbol as a string slice.
@@ -419,6 +423,13 @@ mod tests {
     #[should_panic(expected = "symbol must be 1..=8 bytes")]
     fn symbol_too_long_panics() {
         let _ = Symbol::new("TOOLONGNAME");
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_would_panic_on() {
+        assert_eq!(Symbol::try_new(""), None);
+        assert_eq!(Symbol::try_new("ABCDEFGHI"), None);
+        assert_eq!(Symbol::try_new("ABCDEFGH"), Some(Symbol::new("ABCDEFGH")));
     }
 
     #[test]

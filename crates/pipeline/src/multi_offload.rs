@@ -11,7 +11,11 @@
 //! costs (DMA descriptor setup, kernel launch) amortize across the whole
 //! fleet's traffic instead of fragmenting per symbol. Tickets carry
 //! their shard index, so completions fan back out to the right symbol's
-//! trading engine.
+//! trading engine. A ticket's `(shard, tick_id)` is its identity: every
+//! tick ingested for a shard, warm-up included, takes the next
+//! `tick_id`, so per-query state (the back-test's order intents) can be
+//! keyed by it instead of shadowing the queue. Drops and defers are
+//! tallied once, per shard, in [`ShardCounters`].
 //!
 //! All steady-state storage (every shard's ring, the shared queue) is
 //! allocated up front; the ingest → pop path is allocation-free after
@@ -32,7 +36,8 @@ pub struct ShardTicket {
     pub ticket: TensorTicket,
 }
 
-/// Outcome counters of one symbol shard.
+/// Outcome counters of one symbol shard — the only tally of drops and
+/// defers; the engine-wide accessors sum them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
     /// Ticks dropped at admission because the shared queue was full.
@@ -64,10 +69,6 @@ pub struct MultiOffload {
     queue: VecDeque<ShardTicket>,
     /// Shared capacity: `capacity_per_shard × n_shards`.
     capacity: usize,
-    dropped_full: u64,
-    dropped_stale: u64,
-    deferred: u64,
-    dropped_deadline: u64,
 }
 
 impl MultiOffload {
@@ -96,10 +97,6 @@ impl MultiOffload {
                 .collect(),
             queue: VecDeque::with_capacity(capacity),
             capacity,
-            dropped_full: 0,
-            dropped_stale: 0,
-            deferred: 0,
-            dropped_deadline: 0,
         }
     }
 
@@ -118,24 +115,28 @@ impl MultiOffload {
         self.queue.front().copied()
     }
 
+    fn total(&self, field: fn(&ShardCounters) -> u64) -> u64 {
+        self.shards.iter().map(|s| field(&s.counters)).sum()
+    }
+
     /// Ticks dropped because the shared queue was full (all shards).
     pub fn dropped_full(&self) -> u64 {
-        self.dropped_full
+        self.total(|c| c.dropped_full)
     }
 
     /// Tensors dropped stale while queued (all shards).
     pub fn dropped_stale(&self) -> u64 {
-        self.dropped_stale
+        self.total(|c| c.dropped_stale)
     }
 
     /// Tensors deferred to the conventional pipeline (all shards).
     pub fn deferred(&self) -> u64 {
-        self.deferred
+        self.total(|c| c.deferred)
     }
 
     /// Tensors dropped by the deadline-tier planner (all shards).
     pub fn dropped_deadline(&self) -> u64 {
-        self.dropped_deadline
+        self.total(|c| c.dropped_deadline)
     }
 
     /// Outcome counters of one shard.
@@ -229,7 +230,6 @@ impl MultiOffload {
         }
         if self.queue.len() >= self.capacity {
             s.counters.dropped_full += 1;
-            self.dropped_full += 1;
             return None;
         }
         let ticket = ShardTicket {
@@ -264,7 +264,6 @@ impl MultiOffload {
         let t = self.queue.pop_front();
         if let Some(t) = t {
             self.shards[t.shard as usize].counters.deferred += 1;
-            self.deferred += 1;
         }
         t
     }
@@ -275,7 +274,6 @@ impl MultiOffload {
         let t = self.queue.pop_front();
         if let Some(t) = t {
             self.shards[t.shard as usize].counters.dropped_deadline += 1;
-            self.dropped_deadline += 1;
         }
         t
     }
@@ -284,49 +282,25 @@ impl MultiOffload {
     /// the past, attributing each to its shard, and returns how many
     /// were dropped. Allocation-free.
     pub fn drop_stale(&mut self, now: Timestamp, deadline: std::time::Duration) -> u64 {
-        self.drop_stale_with(now, deadline, |_| {})
-    }
-
-    /// [`Self::drop_stale`] with a per-ticket observer — the execution
-    /// layer uses it to retire the order intents of dropped queries in
-    /// queue order.
-    pub fn drop_stale_with(
-        &mut self,
-        now: Timestamp,
-        deadline: std::time::Duration,
-        mut observe: impl FnMut(&ShardTicket),
-    ) -> u64 {
         let mut dropped = 0u64;
         while let Some(front) = self.queue.front() {
-            if (front.ticket.tick_ts + deadline) <= now {
-                let t = self.queue.pop_front().expect("front just seen");
-                self.shards[t.shard as usize].counters.dropped_stale += 1;
-                observe(&t);
-                dropped += 1;
-            } else {
+            if (front.ticket.tick_ts + deadline) > now {
                 break;
             }
+            self.shards[front.shard as usize].counters.dropped_stale += 1;
+            self.queue.pop_front();
+            dropped += 1;
         }
-        self.dropped_stale += dropped;
         dropped
     }
 
     /// Drains every still-queued ticket as stale (end-of-session
     /// accounting), attributing each to its shard, and returns the count.
     pub fn drain_leftover(&mut self) -> u64 {
-        self.drain_leftover_with(|_| {})
-    }
-
-    /// [`Self::drain_leftover`] with a per-ticket observer (see
-    /// [`Self::drop_stale_with`]).
-    pub fn drain_leftover_with(&mut self, mut observe: impl FnMut(&ShardTicket)) -> u64 {
-        let mut dropped = 0u64;
-        while let Some(t) = self.queue.pop_front() {
+        let dropped = self.queue.len() as u64;
+        for t in self.queue.drain(..) {
             self.shards[t.shard as usize].counters.dropped_stale += 1;
-            observe(&t);
-            dropped += 1;
         }
-        self.dropped_stale += dropped;
         dropped
     }
 }

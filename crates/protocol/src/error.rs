@@ -14,6 +14,16 @@ pub enum DecodeError {
     },
     /// The message header named a template this decoder does not know.
     UnknownTemplate(u16),
+    /// The message header declared a block shorter than its template's
+    /// fixed body.
+    ShortBlock {
+        /// Template id found in the header.
+        template_id: u16,
+        /// Block length found in the header.
+        block_length: u16,
+        /// Fixed body length the template requires.
+        fixed: u16,
+    },
     /// The schema id or version did not match this decoder.
     SchemaMismatch {
         /// Schema id found in the header.
@@ -56,6 +66,15 @@ impl fmt::Display for DecodeError {
                 write!(f, "buffer truncated: need {needed} bytes, have {available}")
             }
             DecodeError::UnknownTemplate(id) => write!(f, "unknown template id {id}"),
+            DecodeError::ShortBlock {
+                template_id,
+                block_length,
+                fixed,
+            } => write!(
+                f,
+                "template {template_id} block of {block_length} bytes is shorter than \
+                 its {fixed}-byte fixed body"
+            ),
             DecodeError::SchemaMismatch { schema_id, version } => {
                 write!(f, "schema mismatch: id {schema_id} version {version}")
             }

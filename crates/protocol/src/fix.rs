@@ -141,7 +141,9 @@ impl FixDecoder {
                 .parse()
                 .map_err(|_| DecodeError::MalformedField("11".into()))?,
         );
-        let symbol = Symbol::new(get(tag::SYMBOL)?);
+        let symbol_field = get(tag::SYMBOL)?;
+        let symbol = Symbol::try_new(symbol_field)
+            .ok_or_else(|| DecodeError::MalformedField(format!("55={symbol_field}")))?;
         let parse_price = |s: &str| -> Result<Price, DecodeError> {
             Ok(Price::new(
                 s.parse()

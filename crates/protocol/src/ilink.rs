@@ -140,23 +140,17 @@ impl OrderMessage {
     /// # Errors
     ///
     /// Returns [`DecodeError`] for truncated buffers, schema mismatches,
-    /// unknown templates, or out-of-range enum values.
+    /// unknown templates, blocks shorter than their template's fixed body,
+    /// malformed symbols, or out-of-range enum values.
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
         let mut buf = bytes;
-        if buf.len() < MessageHeader::SIZE {
-            return Err(DecodeError::Truncated {
-                needed: MessageHeader::SIZE,
-                available: buf.len(),
-            });
-        }
-        let block_length = buf.get_u16_le();
-        let template_id = buf.get_u16_le();
-        let schema_id = buf.get_u16_le();
-        let version = buf.get_u16_le();
-        if schema_id != SCHEMA_ID || version != SCHEMA_VERSION {
-            return Err(DecodeError::SchemaMismatch { schema_id, version });
-        }
-        let total = MessageHeader::SIZE + block_length as usize;
+        let header = MessageHeader::read_checked(&mut buf, |template| match template {
+            TEMPLATE_NEW_ORDER => Some(NEW_ORDER_BLOCK_LEN),
+            TEMPLATE_REPLACE => Some(REPLACE_BLOCK_LEN),
+            TEMPLATE_CANCEL => Some(CANCEL_BLOCK_LEN),
+            _ => None,
+        })?;
+        let total = MessageHeader::SIZE + header.block_length as usize;
         if bytes.len() < total {
             return Err(DecodeError::Truncated {
                 needed: total,
@@ -167,11 +161,11 @@ impl OrderMessage {
         let mut sym = [0u8; 8];
         buf.copy_to_slice(&mut sym);
         let len = sym.iter().position(|&b| b == 0).unwrap_or(8);
-        let symbol = Symbol::new(
-            std::str::from_utf8(&sym[..len])
-                .map_err(|_| DecodeError::MalformedField("symbol".to_string()))?,
-        );
-        let kind = match template_id {
+        let symbol = std::str::from_utf8(&sym[..len])
+            .ok()
+            .and_then(Symbol::try_new)
+            .ok_or_else(|| DecodeError::MalformedField("symbol".to_string()))?;
+        let kind = match header.template_id {
             TEMPLATE_NEW_ORDER => {
                 let side = match buf.get_u8() {
                     0 => Side::Bid,
@@ -208,8 +202,7 @@ impl OrderMessage {
                 let qty = Qty::new(buf.get_u64_le());
                 OrderMessageKind::Replace { price, qty }
             }
-            TEMPLATE_CANCEL => OrderMessageKind::Cancel,
-            other => return Err(DecodeError::UnknownTemplate(other)),
+            _ => OrderMessageKind::Cancel,
         };
         Ok((
             OrderMessage {

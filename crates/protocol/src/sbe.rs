@@ -63,6 +63,32 @@ impl MessageHeader {
             version: buf.get_u16_le(),
         })
     }
+
+    /// Reads a header of this schema whose template `fixed_len` knows,
+    /// rejecting a block shorter than that template's fixed body — the
+    /// guard that keeps every later field read inside the block.
+    pub(crate) fn read_checked(
+        buf: &mut &[u8],
+        fixed_len: fn(u16) -> Option<u16>,
+    ) -> Result<Self, DecodeError> {
+        let header = Self::read(buf)?;
+        if header.schema_id != SCHEMA_ID || header.version != SCHEMA_VERSION {
+            return Err(DecodeError::SchemaMismatch {
+                schema_id: header.schema_id,
+                version: header.version,
+            });
+        }
+        let fixed = fixed_len(header.template_id)
+            .ok_or(DecodeError::UnknownTemplate(header.template_id))?;
+        if header.block_length < fixed {
+            return Err(DecodeError::ShortBlock {
+                template_id: header.template_id,
+                block_length: header.block_length,
+                fixed,
+            });
+        }
+        Ok(header)
+    }
 }
 
 fn side_to_u8(side: Side) -> u8 {
@@ -206,16 +232,15 @@ impl SbeDecoder {
     /// # Errors
     ///
     /// Returns [`DecodeError`] when the buffer is truncated, the schema or
-    /// template is unknown, or an enum field is out of range.
+    /// template is unknown, the block is shorter than the template's fixed
+    /// body, or an enum field is out of range.
     pub fn decode(&self, bytes: &[u8]) -> Result<(MarketEvent, usize), DecodeError> {
         let mut buf = bytes;
-        let header = MessageHeader::read(&mut buf)?;
-        if header.schema_id != SCHEMA_ID || header.version != SCHEMA_VERSION {
-            return Err(DecodeError::SchemaMismatch {
-                schema_id: header.schema_id,
-                version: header.version,
-            });
-        }
+        let header = MessageHeader::read_checked(&mut buf, |template| match template {
+            TEMPLATE_BOOK => Some(BOOK_BLOCK_LEN),
+            TEMPLATE_TRADE => Some(TRADE_BLOCK_LEN),
+            _ => None,
+        })?;
         let body_len = header.block_length as usize;
         if buf.len() < body_len {
             return Err(DecodeError::Truncated {
@@ -259,7 +284,7 @@ impl SbeDecoder {
                     kind: MarketEventKind::Book(delta),
                 }
             }
-            TEMPLATE_TRADE => {
+            _ => {
                 let seq = buf.get_u64_le();
                 let ts = Timestamp::from_nanos(buf.get_u64_le());
                 let price = Price::new(buf.get_i64_le());
@@ -279,7 +304,6 @@ impl SbeDecoder {
                     }),
                 }
             }
-            other => return Err(DecodeError::UnknownTemplate(other)),
         };
         Ok((event, MessageHeader::SIZE + body_len))
     }

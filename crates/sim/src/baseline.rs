@@ -128,7 +128,7 @@ impl SingleDeviceModel<'_> {
                 break;
             }
             // Stale management at issue time.
-            ctx.metrics.dropped_stale += self.offload.drop_stale(start, self.stale_budget);
+            self.offload.drop_stale(start, self.stale_budget);
             let Some(ticket) = self.offload.pop_ticket().map(|t| t.ticket) else {
                 break;
             };
@@ -156,7 +156,7 @@ impl SingleDeviceModel<'_> {
                         breakdown,
                         shard: 0,
                         tier: self.kind,
-                        intent: None,
+                        tick_id: ticket.tick_id,
                     }],
                 },
             );
@@ -173,10 +173,8 @@ impl SingleDeviceModel<'_> {
 
 impl SimModel for SingleDeviceModel<'_> {
     fn on_tick(&mut self, tick: &TickRecord, ctx: &mut EngineCtx) {
-        let before_full = self.offload.dropped_full();
         self.offload
             .on_tick_staged(0, &tick.snapshot, tick.ts, &self.system.stages);
-        ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
         self.try_issue(ctx);
     }
 
@@ -198,6 +196,7 @@ impl SimModel for SingleDeviceModel<'_> {
     }
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
+        ctx.metrics.record_queue_outcomes(&self.offload);
         ctx.metrics.energy_j =
             self.system.power_w * self.service.as_secs_f64() * ctx.metrics.batches as f64;
     }

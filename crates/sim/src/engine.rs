@@ -51,11 +51,10 @@ pub struct PendingOrder {
     /// for fixed-model policies; the planner's pick under
     /// `DeadlineTiered`).
     pub tier: ModelKind,
-    /// The order the strategy decided to send on this tick, captured at
-    /// decision time; `None` when the strategy held (or the execution
-    /// layer is disabled). Settled against the arrival-time book when
-    /// this order wires out.
-    pub intent: Option<lt_lob::OrderIntent>,
+    /// The triggering tick's identity within its shard (the offload
+    /// ticket's `tick_id`): with `shard`, the key the execution layer
+    /// looks this query's order intent up by when it wires out.
+    pub tick_id: u64,
 }
 
 /// A scheduled simulation event.

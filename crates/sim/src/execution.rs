@@ -2,12 +2,15 @@
 //!
 //! Until this layer existed, the back-test scored queries purely on
 //! latency: an answered query was a "response" and no order ever
-//! *traded*. This module closes the loop with the venue. At every tick
-//! the strategy may capture an [`OrderIntent`] (an IOC at the
-//! decision-time touch); the intent rides through the offload queue and
-//! the accelerator batch with its ticket, and when the engine's
-//! `OrderOut` event fires — after the full tick-to-trade pipeline
-//! latency — the order is filled against the book state *at arrival
+//! *traded*. This module closes the loop with the venue. A tick may
+//! carry an [`OrderIntent`] (an IOC at the decision-time touch). The
+//! intent is a pure function of its tick — the precomputed signal, the
+//! tick's snapshot, and the [`RiskLimits`] — so the layer builds every
+//! intent once, keyed by the offload engine's ticket identity
+//! `(shard, tick_id)`. A query carries only that identity through the
+//! queue and the accelerator batch; when the engine's `OrderOut` event
+//! fires — after the full tick-to-trade pipeline latency — the order
+//! looks its intent up and is filled against the book state *at arrival
 //! time* via [`lt_lob::fill_ioc`], the venue-side sweep pinned against
 //! the real matching engine. A per-shard [`Portfolio`] books the fills
 //! (cash, position, realized/unrealized P&L, fees — all in half-tick
@@ -28,7 +31,6 @@ use lt_feed::TickTrace;
 use lt_lob::{fill_ioc, FeeModel, Fill, FillModel, LobSnapshot, OrderIntent, Qty, Side};
 use lt_pipeline::{KillSwitch, Portfolio, RiskLimits};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The oracle momentum signal's parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -303,6 +305,31 @@ pub fn precompute_signals(
     dirs
 }
 
+/// The order a tick's signal `dir` asks for on `snap`: an IOC at the
+/// touch it would cross, or `None` when the signal holds, a side of the
+/// book is empty, or the spread is wider than the limits allow.
+fn intent_for(dir: i8, snap: &LobSnapshot, limits: &RiskLimits) -> Option<OrderIntent> {
+    if dir == 0 {
+        return None;
+    }
+    let bid = snap.best_bid()?;
+    let ask = snap.best_ask()?;
+    if ask.price.ticks() - bid.price.ticks() > limits.max_spread_ticks {
+        return None;
+    }
+    let (side, touch) = if dir > 0 {
+        (Side::Bid, ask)
+    } else {
+        (Side::Ask, bid)
+    };
+    Some(OrderIntent {
+        side,
+        limit: touch.price,
+        qty: Qty::new(limits.order_qty),
+        touch_qty: touch.qty,
+    })
+}
+
 /// Per-shard execution state: the venue-side view of one instrument.
 struct ShardExec {
     portfolio: Portfolio,
@@ -315,30 +342,40 @@ struct ShardExec {
     stats: ExecutionStats,
 }
 
-/// Runtime state of the execution layer: per-shard portfolios plus the
-/// intent queue mirroring the offload engine's shared tensor queue.
+/// Runtime state of the execution layer: per-shard portfolios plus every
+/// tick's decision-time intent.
 pub(crate) struct ExecState {
     fill_model: FillModel,
     limits: RiskLimits,
     fees: FeeModel,
-    /// Precomputed per-tick signal directions, indexed by trace position.
-    signals: Vec<i8>,
-    /// Decision-time intents of the tickets currently queued in the
-    /// offload engine, in queue order: every queue admission pushes one
-    /// entry (possibly `None` — the strategy held) and every queue
-    /// removal, whatever its reason, pops one.
-    intents: VecDeque<Option<OrderIntent>>,
+    /// `intents[shard][tick_id]`: the order each tick would send, indexed
+    /// the way the offload engine numbers its tickets (every ingested
+    /// tick of a shard, warm-up included, takes the next `tick_id`).
+    intents: Vec<Vec<Option<OrderIntent>>>,
     shards: Vec<ShardExec>,
 }
 
 impl ExecState {
-    pub(crate) fn new(cfg: &ExecutionConfig, n_shards: usize, signals: Vec<i8>) -> Self {
+    /// Builds the layer for `trace` as the engine will replay it;
+    /// `tick_shards` maps trace position to shard (empty means every
+    /// tick is shard 0).
+    pub(crate) fn new(
+        cfg: &ExecutionConfig,
+        trace: &TickTrace,
+        tick_shards: &[u16],
+        n_shards: usize,
+    ) -> Self {
+        let signals = precompute_signals(trace, tick_shards, n_shards, &cfg.signal);
+        let mut intents = vec![Vec::new(); n_shards.max(1)];
+        for (i, (tick, dir)) in trace.ticks.iter().zip(signals).enumerate() {
+            let shard = tick_shards.get(i).map_or(0, |&s| s as usize);
+            intents[shard].push(intent_for(dir, &tick.snapshot, &cfg.limits));
+        }
         ExecState {
             fill_model: cfg.fill_model,
             limits: cfg.limits,
             fees: cfg.fees,
-            signals,
-            intents: VecDeque::new(),
+            intents,
             shards: (0..n_shards.max(1))
                 .map(|_| ShardExec {
                     portfolio: Portfolio::default(),
@@ -354,16 +391,9 @@ impl ExecState {
     }
 
     /// Handles one arriving tick for `shard`: refreshes the venue-side
-    /// book view, marks the portfolio to market (the kill switch
-    /// observes P&L on *every* tick, orders in flight or not), and
-    /// returns the decision-time intent, if the signal fires on a
-    /// tradeable book.
-    pub(crate) fn on_tick(
-        &mut self,
-        shard: usize,
-        tick_index: usize,
-        snap: &LobSnapshot,
-    ) -> Option<OrderIntent> {
+    /// book view and marks the portfolio to market (the kill switch
+    /// observes P&L on *every* tick, orders in flight or not).
+    pub(crate) fn on_tick(&mut self, shard: usize, snap: &LobSnapshot) {
         let s = &mut self.shards[shard];
         s.last_snap.ts = snap.ts;
         s.last_snap.bids.clone_from(&snap.bids);
@@ -372,51 +402,14 @@ impl ExecState {
         if let (Some(kill), Some(mid)) = (s.kill.as_mut(), s.last_mid_half) {
             kill.observe_pnl_half(s.portfolio.equity_half(mid));
         }
-        let dir = *self.signals.get(tick_index)?;
-        if dir == 0 {
-            return None;
-        }
-        let bid = snap.best_bid()?;
-        let ask = snap.best_ask()?;
-        if ask.price.ticks() - bid.price.ticks() > self.limits.max_spread_ticks {
-            return None;
-        }
-        let (side, touch) = if dir > 0 {
-            (Side::Bid, ask)
-        } else {
-            (Side::Ask, bid)
-        };
-        Some(OrderIntent {
-            side,
-            limit: touch.price,
-            qty: Qty::new(self.limits.order_qty),
-            touch_qty: touch.qty,
-        })
-    }
-
-    /// Mirrors a queue admission: the ticket at the queue's back carries
-    /// this decision-time intent.
-    pub(crate) fn push_intent(&mut self, intent: Option<OrderIntent>) {
-        self.intents.push_back(intent);
-    }
-
-    /// Mirrors a queue removal that never reaches the wire (stale drop,
-    /// deadline shed, defer, end-of-session drain): the order is simply
-    /// never sent.
-    pub(crate) fn discard_intent(&mut self) {
-        self.intents.pop_front();
-    }
-
-    /// Mirrors a batch pop: the front `n` intents ride with the batch.
-    pub(crate) fn pop_intents(&mut self, n: usize) -> Vec<Option<OrderIntent>> {
-        self.intents.drain(..n.min(self.intents.len())).collect()
     }
 
     /// Settles one wired-out order against the arrival-time book. Both
     /// in-time and late orders trade — a late order still went out on
-    /// the wire; it just finds a book that moved even further.
+    /// the wire; it just finds a book that moved even further. A query
+    /// whose tick held sends nothing.
     pub(crate) fn settle_order(&mut self, order: &PendingOrder) {
-        let Some(intent) = order.intent else {
+        let Some(intent) = self.intents[order.shard as usize][order.tick_id as usize] else {
             return;
         };
         let s = &mut self.shards[order.shard as usize];

@@ -36,7 +36,7 @@
 
 use crate::config::BacktestConfig;
 use crate::engine::{self, EngineCtx, Event, PendingOrder, SimModel};
-use crate::execution::{precompute_signals, ExecState, ExecutionConfig};
+use crate::execution::{ExecState, ExecutionConfig};
 use crate::metrics::{BacktestMetrics, TierOutcomes};
 use crate::telemetry::QueryTimeline;
 use lt_accel::device::BatchId;
@@ -44,7 +44,7 @@ use lt_accel::dvfs::{static_plan, DvfsTable, OperatingPoint};
 use lt_accel::{Accelerator, DeviceProfile};
 use lt_dnn::ModelKind;
 use lt_feed::{NormStats, TickRecord, TickTrace};
-use lt_lob::{OrderIntent, Timestamp};
+use lt_lob::Timestamp;
 use lt_pipeline::{MultiOffload, PipelineLatencies, ShardTicket};
 use lt_sched::{plan_uprates, schedule_workload, LatencyModel, TierDecision, TierPlanner};
 use std::time::Duration;
@@ -63,9 +63,6 @@ struct InFlight {
     /// fixed-model policies).
     kind: ModelKind,
     tickets: Vec<ShardTicket>,
-    /// Decision-time order intents riding with `tickets` (parallel, one
-    /// per ticket); empty when the execution layer is disabled.
-    intents: Vec<Option<OrderIntent>>,
     /// Completion token; a rescale invalidates the previous one.
     batch_id: BatchId,
     /// When the batch claimed the accelerator (before the DVFS switch).
@@ -138,9 +135,6 @@ pub(crate) struct SimState {
     tick_shards: Vec<u16>,
     /// Ticks consumed so far (ticks arrive strictly in trace order).
     cursor: usize,
-    /// Global tick index (every tick, all shards) — the key into the
-    /// execution layer's precomputed signal stream.
-    tick_index: usize,
     /// The execution & portfolio layer; `None` when disabled.
     exec: Option<ExecState>,
     /// Per-shard outcome tallies (always at least one entry).
@@ -307,8 +301,7 @@ impl SimState {
         let orders: Vec<PendingOrder> = flight
             .tickets
             .iter()
-            .enumerate()
-            .map(|(i, t)| PendingOrder {
+            .map(|t| PendingOrder {
                 tick_ts: t.ticket.tick_ts,
                 deadline: t.ticket.tick_ts + self.t_avail,
                 breakdown: QueryTimeline {
@@ -323,7 +316,7 @@ impl SimState {
                 .breakdown(),
                 shard: t.shard,
                 tier: flight.kind,
-                intent: flight.intents.get(i).copied().flatten(),
+                tick_id: t.ticket.tick_id,
             })
             .collect();
         ctx.queue.push_at(order_out, Event::OrderOut { orders });
@@ -370,18 +363,8 @@ impl SimState {
                 continue;
             }
             loop {
-                // Stale management before every scheduling attempt. Every
-                // queue removal pops the matching decision-time intent —
-                // a dropped tensor means the order is never sent.
-                let stale = {
-                    let exec = &mut self.exec;
-                    self.offload.drop_stale_with(now, self.stale_budget, |_| {
-                        if let Some(e) = exec.as_mut() {
-                            e.discard_intent();
-                        }
-                    })
-                };
-                ctx.metrics.dropped_stale += stale;
+                // Stale management before every scheduling attempt.
+                self.offload.drop_stale(now, self.stale_budget);
                 let Some(oldest) = self.offload.oldest() else {
                     break 'accels; // queue empty: nothing for any accel
                 };
@@ -438,12 +421,7 @@ impl SimState {
                         // No registered tier fits the remaining budget:
                         // shed the query outright instead of burning
                         // accelerator time on a guaranteed miss.
-                        if self.offload.drop_oldest_deadline().is_some() {
-                            if let Some(e) = self.exec.as_mut() {
-                                e.discard_intent();
-                            }
-                        }
-                        ctx.metrics.dropped_deadline += 1;
+                        self.offload.drop_oldest_deadline();
                         continue;
                     }
                 };
@@ -473,14 +451,6 @@ impl SimState {
                         let mut tickets = self.spare.pop().unwrap_or_default();
                         self.offload.pop_batch_into(batch as usize, &mut tickets);
                         debug_assert_eq!(tickets.len(), batch as usize);
-                        // Intents attach at queue-pop time: batches settle
-                        // out of order across accelerators, so matching at
-                        // settle time would mispair them.
-                        let intents = self
-                            .exec
-                            .as_mut()
-                            .map(|e| e.pop_intents(batch as usize))
-                            .unwrap_or_default();
                         let ready = tickets
                             .iter()
                             .map(|t| t.ticket.ready_at)
@@ -498,7 +468,6 @@ impl SimState {
                             point,
                             kind: serve_kind,
                             tickets,
-                            intents,
                             batch_id,
                             issue_base,
                             switch_total: switch,
@@ -520,10 +489,6 @@ impl SimState {
                         // conventional pipeline (Algorithm 1's "remove
                         // oldest input tensor") and reschedule.
                         if self.offload.defer_oldest().is_some() {
-                            if let Some(e) = self.exec.as_mut() {
-                                e.discard_intent();
-                            }
-                            ctx.metrics.deferred += 1;
                             continue;
                         }
                         break 'accels;
@@ -655,23 +620,14 @@ impl SimModel for SimState {
             s
         };
         self.per_shard[shard as usize].ticks += 1;
-        let before_full = self.offload.dropped_full();
-        let admitted = self
-            .offload
+        self.offload
             .on_tick_staged(shard, &tick.snapshot, tick.ts, &self.stages);
-        ctx.metrics.dropped_full += self.offload.dropped_full() - before_full;
         if let Some(exec) = self.exec.as_mut() {
-            // The strategy decides on every tick (mark-to-market and the
-            // kill switch run tick-by-tick), but an intent only enters
-            // the venue path when its tensor was actually admitted: a
-            // tick dropped at admission never produces an inference,
-            // hence never an order.
-            let intent = exec.on_tick(shard as usize, self.tick_index, &tick.snapshot);
-            if admitted.is_some() {
-                exec.push_intent(intent);
-            }
+            // Mark-to-market and the kill switch run tick by tick; the
+            // tick's order intent was fixed when the layer was armed and
+            // only trades if its query reaches the wire.
+            exec.on_tick(shard as usize, &tick.snapshot);
         }
-        self.tick_index += 1;
         self.try_issue(ctx);
     }
 
@@ -728,15 +684,8 @@ impl SimModel for SimState {
 
     fn on_finish(&mut self, ctx: &mut EngineCtx) {
         // Any tensors still queued at session end can never be answered.
-        let leftover = {
-            let exec = &mut self.exec;
-            self.offload.drain_leftover_with(|_| {
-                if let Some(e) = exec.as_mut() {
-                    e.discard_intent();
-                }
-            })
-        };
-        ctx.metrics.dropped_stale += leftover;
+        self.offload.drain_leftover();
+        ctx.metrics.record_queue_outcomes(&self.offload);
         if let Some(exec) = self.exec.as_mut() {
             exec.finalize();
             ctx.metrics.execution = Some(exec.aggregate());
@@ -878,7 +827,6 @@ pub(crate) fn build_state(
         ),
         tick_shards,
         cursor: 0,
-        tick_index: 0,
         exec: None,
         per_shard: vec![ShardScore::default(); n_shards],
         spare: Vec::new(),
@@ -896,8 +844,8 @@ impl SimState {
         self.offload.shard_counters(shard)
     }
 
-    /// Arms the execution & portfolio layer when `cfg` enables it: the
-    /// oracle signal stream is precomputed over the (possibly degraded)
+    /// Arms the execution & portfolio layer when `cfg` enables it: every
+    /// tick's order intent is precomputed over the (possibly degraded)
     /// trace the engine will actually replay, so decisions and fills see
     /// exactly what arrives.
     pub(crate) fn arm_execution(
@@ -910,8 +858,7 @@ impl SimState {
         if !cfg.enabled {
             return;
         }
-        let signals = precompute_signals(trace, tick_shards, n_shards, &cfg.signal);
-        self.exec = Some(ExecState::new(cfg, n_shards, signals));
+        self.exec = Some(ExecState::new(cfg, trace, tick_shards, n_shards));
     }
 
     /// One shard's finalized execution stats; `None` when the execution

@@ -169,6 +169,15 @@ impl BacktestMetrics {
         self.latencies_ns.push(tick_to_trade.as_nanos() as u64);
     }
 
+    /// Copies the drop and defer tallies from the run's offload engine,
+    /// whose per-shard counters are the only record of them.
+    pub(crate) fn record_queue_outcomes(&mut self, offload: &lt_pipeline::MultiOffload) {
+        self.dropped_full = offload.dropped_full();
+        self.dropped_stale = offload.dropped_stale();
+        self.deferred = offload.deferred();
+        self.dropped_deadline = offload.dropped_deadline();
+    }
+
     /// Total queries across all outcome buckets.
     pub fn total(&self) -> u64 {
         self.responded

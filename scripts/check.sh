@@ -28,10 +28,10 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "== engine refactor gates: golden parity + determinism =="
 cargo test -q --release -p lt-sim --test golden_parity --test determinism
 
-echo "== ingress gates: fault injection + arbitration properties =="
+echo "== ingress gates: fault injection + arbitration properties + hostile-bytes decoding =="
 cargo test -q --release -p lt-sim --test faults
-cargo test -q --release -p lt-pipeline --test arbiter_props
-cargo test -q --release -p lt-protocol --test roundtrip
+cargo test -q --release -p lt-pipeline --test arbiter_props --test hostile_datagrams
+cargo test -q --release -p lt-protocol --test roundtrip --test hostile_bytes
 
 echo "== hot-path book gates: ladder/reference equivalence + zero-alloc =="
 cargo test -q --release -p lt-lob --test book_equivalence
@@ -51,9 +51,9 @@ echo "== tier scheduler gates: planner/estimator properties + outcome accounting
 cargo test -q --release -p lt-sched --test tier_props
 cargo test -q --release -p lt-sim --test tier_accounting
 
-echo "== execution gates: assume-fill golden differential + portfolio properties + kill-switch drawdown =="
+echo "== execution gates: assume-fill golden differential + execution goldens + portfolio properties + kill-switch drawdown =="
 cargo test -q --release -p lt-sim --test golden_parity assume_fill_mode_matches_goldens
-cargo test -q --release -p lt-sim --test execution
+cargo test -q --release -p lt-sim --test execution --test execution_goldens
 cargo test -q --release -p lt-pipeline --test portfolio_props
 cargo test -q --release -p lighttrader drawdown_on_held_position_trips_kill_with_no_orders_in_flight
 
